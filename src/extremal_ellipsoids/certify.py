@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .core import Ellipsoid, Polytope, unit_ball
+from .core import Ellipsoid, Polytope, symmetric_roots, unit_ball
 from .errors import NotNonnegative, NotOptimal
 
 MULTIPLIER_PRUNE = 1e-10
@@ -72,11 +72,6 @@ class CertResult:
         return out
 
 
-def _symmetric_root(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(x)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:
     """Nonnegative least squares fit of the Fritz John system.
 
@@ -89,7 +84,7 @@ def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:
     n = e.dim
     u = np.atleast_2d(contacts)
     k = u.shape[0]
-    ubar = (u - e.center) @ _symmetric_root(e.shape).T
+    ubar = (u - e.center) @ symmetric_roots(e.shape)[0].T
 
     iu, ju = np.triu_indices(n)
     weights = np.where(iu == ju, 1.0, math.sqrt(2.0))

@@ -288,7 +288,7 @@ def _ie_contacts_2d(spec: SlabSpec, params: AxialEllipsoidParams) -> np.ndarray:
 def _cmd_mvee(args):
     payload = _load_input(args.input, table_key="points")
     pts = _points_from(payload)
-    cfg = SolverConfig(eps=args.eps, seed=args.seed)
+    cfg = SolverConfig(eps=args.eps)
     ell, cert = mvee_points(pts, cfg)
     result = certify_ce(pts, ell, tol=args.tol)
     out = {"ellipsoid": ellipsoid_to_dict(ell),
@@ -307,7 +307,7 @@ def _cmd_mvee(args):
 def _cmd_mvie(args):
     payload = _load_input(args.input, table_key="halfspaces")
     poly = _polytope_from(payload)
-    cfg = SolverConfig(eps=args.eps, seed=args.seed)
+    cfg = SolverConfig(eps=args.eps)
     ell, cert = mvie_polytope(poly, cfg)
     result = certify_ie(poly, ell, tol=args.tol)
     out = {"ellipsoid": ellipsoid_to_dict(ell),
@@ -430,7 +430,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--eps", type=float, default=1e-7)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     for name in ("slab-ce", "slab-ie", "cone-ce"):

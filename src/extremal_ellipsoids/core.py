@@ -49,15 +49,22 @@ def cholesky_spd(x: np.ndarray, rel_pivot_tol: float = 1e-12) -> np.ndarray:
     floor = rel_pivot_tol * max(np.trace(x) / n, 0.0)
     if not np.isfinite(x).all():
         raise InvalidEllipsoid("shape matrix has non-finite entries")
-    lower = np.zeros_like(x)
-    for j in range(n):
-        d = x[j, j] - lower[j, :j] @ lower[j, :j]
-        if not d > floor:
-            raise InvalidEllipsoid(f"pivot {j} is {d:.3e}, below {floor:.3e}")
-        lower[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1:, j] = (x[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    try:
+        lower = np.linalg.cholesky(x)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidEllipsoid("shape matrix is not positive definite") from exc
+    pivots = np.diag(lower) ** 2
+    low = np.flatnonzero(~(pivots > floor))
+    if low.size:
+        j = int(low[0])
+        raise InvalidEllipsoid(f"pivot {j} is {pivots[j]:.3e}, below {floor:.3e}")
     return lower
+
+
+def symmetric_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X^(1/2), X^(-1/2)) of a symmetric positive definite X, via eigh."""
+    w, v = np.linalg.eigh(x)
+    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
 
 
 @dataclass(frozen=True)
@@ -96,8 +103,7 @@ class Ellipsoid:
 
     def factor(self) -> np.ndarray:
         """Symmetric A = X^(-1/2); maps the unit ball onto E - c."""
-        w, v = np.linalg.eigh(self.shape)
-        return (v / np.sqrt(w)) @ v.T
+        return symmetric_roots(self.shape)[1]
 
     def boundary_points(self, directions) -> np.ndarray:
         """Boundary points c + A d/|d| for each row of ``directions``."""

@@ -10,14 +10,16 @@ floor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .core import Ellipsoid, volume
-from .errors import EmptyBody, EmptySlab
-from .slab import GeneralSlab, ce_slab, denormalize, normalize
+from .errors import EmptySlab
+from .slab import SlabSpec, ce_slab
 
 _NOOP_TOL = 1e-15
 
@@ -75,32 +77,48 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
                       iteration: int = 0):
     """Smallest ellipsoid containing {x in E : a <= <p, x - center> <= b}.
 
-    Bounds deeper than the ellipsoid extent are clamped; a slab missing the
-    ellipsoid entirely raises EmptySlab.  Shallow two-sided cuts that cannot
-    shrink the volume return E unchanged with ratio 1.
+    With g = (p^T X^-1 p)^(1/2) the slab is [a/g, b/g] in units of the
+    ellipsoid's half-width along p.  Solving along s*p, with s = -1 when the
+    lower bound is the deeper one, ``ce_slab`` gives (tau, a', b') and the
+    update is the rank-one formula
+
+        c+ = c + s tau X^-1 p / g,    X+ = b' X + (a' - b') p p^T / g^2,
+
+    with volume ratio (a' b'^(n-1))^(-1/2).  Bounds deeper than the
+    ellipsoid extent are clamped; a slab missing the ellipsoid entirely
+    raises EmptySlab.  Shallow two-sided cuts that cannot shrink the volume
+    return E unchanged with ratio 1.
     """
     p = np.asarray(p, dtype=float)
     if a >= b:
         raise EmptySlab("slab bounds leave no width")
-    general = GeneralSlab(e.shape, e.center, p, a, b)
     n = e.dim
+    lower = np.linalg.cholesky(e.shape)
+    w = solve_triangular(lower, p, lower=True)
+    g = float(np.linalg.norm(w))
+    if not g > 0.0:
+        raise ValueError("cut normal must be nonzero")
+    alpha, beta = a / g, b / g
+    if alpha >= 1.0 or beta <= -1.0:
+        raise EmptySlab(f"slab [{alpha:.6g}, {beta:.6g}] misses the ellipsoid")
+    alpha, beta = max(alpha, -1.0), min(beta, 1.0)
     vol_before = volume(e)
-
-    try:
-        spec, frame = normalize(general)
-    except EmptyBody as exc:
-        raise EmptySlab(str(exc)) from exc
-    alpha, beta = spec.alpha, spec.beta
-    if spec.reflected:
-        alpha, beta = -beta, -alpha
 
     if alpha * beta <= -1.0 / n + _NOOP_TOL:
         record = CutStepRecord(iteration, p, alpha, beta,
                                vol_before, vol_before, 1.0)
         return e, record
 
+    if beta ** 2 < alpha ** 2:  # the convention beta^2 >= alpha^2 holds along -p
+        sign, spec = -1.0, SlabSpec(n, -beta, -alpha)
+    else:
+        sign, spec = 1.0, SlabSpec(n, alpha, beta)
     params = ce_slab(spec)
-    post = denormalize(params, frame)
+    direction = solve_triangular(lower.T, w, lower=False) / g  # X^-1 p / g
+    shape = params.b * e.shape + (params.a - params.b) * np.outer(p, p) / g ** 2
+    # X may be asymmetric within SYMMETRY_TOL, which b' > 1 would inflate
+    post = Ellipsoid(e.center + sign * params.tau * direction,
+                     0.5 * (shape + shape.T))
     ratio = (params.a * params.b ** (n - 1)) ** -0.5
     record = CutStepRecord(iteration, p, alpha, beta,
                            vol_before, vol_before * ratio, ratio)
@@ -109,24 +127,21 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
 
 def central_cut_step(e: Ellipsoid, p, iteration: int = 0):
     """Cut through the center: the halfspace <p, x - center> <= 0."""
-    p = np.asarray(p, dtype=float)
-    lin = np.linalg.cholesky(e.shape)
-    q = np.linalg.solve(lin, p)
-    extent = float(np.linalg.norm(q))  # max of <p, x - c> over E
-    if extent == 0.0:
-        raise ValueError("cut normal must be nonzero")
-    return parallel_cut_step(e, p, -extent, 0.0, iteration)
+    return parallel_cut_step(e, p, -math.inf, 0.0, iteration)
 
 
 def solve_feasibility(problem: FeasibilityProblem, max_iter: int = 1000,
                       trace_path: Optional[str] = None) -> FeasibilityResult:
-    """Run the cutting loop until feasible, provably empty, or out of budget."""
+    """Run the cutting loop until feasible, provably empty, or out of budget.
+
+    ``trace_path``, when given, is overwritten with one JSON record per cut.
+    """
     e = problem.initial
+    vol = volume(e)
     records: list[CutStepRecord] = []
-    sink = open(trace_path, "a") if trace_path else None
+    sink = open(trace_path, "w") if trace_path else None
     try:
         for it in range(max_iter):
-            vol = volume(e)
             if vol < problem.floor:
                 return FeasibilityResult("INFEASIBLE", None, vol, records)
             verdict = problem.oracle(e.center)
@@ -134,18 +149,18 @@ def solve_feasibility(problem: FeasibilityProblem, max_iter: int = 1000,
                 return FeasibilityResult("FEASIBLE", e.center, vol, records)
             normal, offset = verdict
             normal = np.asarray(normal, dtype=float)
-            lin = np.linalg.cholesky(e.shape)
-            extent = float(np.linalg.norm(np.linalg.solve(lin, normal)))
             hi = float(offset) - float(normal @ e.center)
-            if hi <= -extent:
+            try:
+                e, record = parallel_cut_step(e, normal, -math.inf, hi,
+                                              iteration=it)
+            except EmptySlab:
                 # the allowed halfspace misses the ellipsoid entirely
                 return FeasibilityResult("INFEASIBLE", None, 0.0, records)
-            e, record = parallel_cut_step(e, normal, -extent,
-                                          min(hi, extent), iteration=it)
+            vol = record.volume_after
             records.append(record)
             if sink is not None:
                 sink.write(json.dumps(record.to_dict()) + "\n")
-        return FeasibilityResult("BUDGET", None, volume(e), records)
+        return FeasibilityResult("BUDGET", None, vol, records)
     finally:
         if sink is not None:
             sink.close()

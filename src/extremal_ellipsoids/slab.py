@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineMap, Ellipsoid, cholesky_spd, map_ellipsoid, unit_directions
+from .core import (AffineMap, Ellipsoid, cholesky_spd, map_ellipsoid,
+                   symmetric_roots, unit_directions)
 from .errors import DegenerateInput, EmptyBody, InvalidEllipsoid
 
 # Case-dispatch guards. A nearly-symmetric interval is routed to the
@@ -119,12 +120,6 @@ class GeneralSlab:
         return self.center0.shape[0]
 
 
-def _symmetric_root_pair(x0: np.ndarray):
-    """(X0^(1/2), X0^(-1/2)) via symmetric eigendecomposition."""
-    w, v = np.linalg.eigh(x0)
-    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
-
-
 def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
     """Reduce a general ellipsoid slab to the normalized form B_alpha_beta.
 
@@ -132,7 +127,7 @@ def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
     beta^2 >= alpha^2 forces the reflection x_1 -> -x_1, the reflection is
     composed into ``m`` and recorded in ``spec.reflected``.
     """
-    root, inv_root = _symmetric_root_pair(g.shape0)
+    _, inv_root = symmetric_roots(g.shape0)
     q = inv_root @ g.normal
     qn = float(np.linalg.norm(q))
     alpha = g.lo / qn
@@ -164,24 +159,21 @@ def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
     return spec, AffineMap(linear, g.center0)
 
 
-def denormalize(p: AxialEllipsoidParams, m: AffineMap,
-                reflected: bool = False) -> Ellipsoid:
+def denormalize(p: AxialEllipsoidParams, m: AffineMap) -> Ellipsoid:
     """Push an axial result through the normalizing map.
 
     Maps produced by ``normalize`` already compose the convention
-    reflection, so ``reflected`` is provenance only and triggers no extra
-    transform here.
+    reflection, so no extra transform is needed here.
     """
-    del reflected
     return map_ellipsoid(m, p.expand())
 
 
-def _ce_symmetric(n: int, beta: float) -> tuple[float, float, float]:
-    # alpha = -beta with alpha*beta > -1/n, i.e. beta < 1/sqrt(n)
-    return 0.0, 1.0 / (n * beta * beta), (n - 1.0) / (n * (1.0 - beta * beta))
-
-
-def _ce_general(n: int, alpha: float, beta: float) -> tuple[float, float, float]:
+def _ce_branch(n: int, alpha: float, beta: float) -> tuple[float, float, float, str]:
+    """(tau, a, b, case) from the symmetric (ii) or general (iii) CE formula."""
+    if abs(alpha + beta) <= SYMMETRIC_TOL:
+        # alpha = -beta with alpha*beta > -1/n, i.e. beta < 1/sqrt(n)
+        return (0.0, 1.0 / (n * beta * beta),
+                (n - 1.0) / (n * (1.0 - beta * beta)), "ii")
     ssum = alpha + beta
     prod = alpha * beta
     delta = (n * n * (beta * beta - alpha * alpha) ** 2
@@ -196,7 +188,7 @@ def _ce_general(n: int, alpha: float, beta: float) -> tuple[float, float, float]
         tau = num / (2.0 * (n + 1.0) * ssum)
     a = 1.0 / (n * (tau - alpha) * (beta - tau))
     b = (1.0 - a * (tau - alpha) ** 2) / (1.0 - alpha * alpha)
-    return tau, a, b
+    return tau, a, b, "iii"
 
 
 def ce_slab(s: SlabSpec) -> AxialEllipsoidParams:
@@ -211,12 +203,7 @@ def ce_slab(s: SlabSpec) -> AxialEllipsoidParams:
     alpha, beta = s.alpha, s.beta
     if alpha * beta + 1.0 / n <= BOUNDARY_TOL:
         return AxialEllipsoidParams(0.0, 1.0, 1.0, n, "shape", "i")
-    if abs(alpha + beta) <= SYMMETRIC_TOL:
-        tau, a, b = _ce_symmetric(n, beta)
-        case = "ii"
-    else:
-        tau, a, b = _ce_general(n, alpha, beta)
-        case = "iii"
+    tau, a, b, case = _ce_branch(n, alpha, beta)
     if not (alpha < tau < beta and a >= b > 0.0):
         raise InvalidEllipsoid(
             f"slab CE formula left its validity window: tau={tau}, a={a}, b={b}")
@@ -236,12 +223,7 @@ def ce_cone(s: SlabSpec) -> AxialEllipsoidParams:
         raise DegenerateInput("both rims are points; the hull is a segment")
     if abs(alpha * beta + 1.0 / n) <= BOUNDARY_TOL:
         return AxialEllipsoidParams(0.0, 1.0, 1.0, n, "shape", "i")
-    if abs(alpha + beta) <= SYMMETRIC_TOL:
-        tau, a, b = _ce_symmetric(n, beta)
-        case = "ii"
-    else:
-        tau, a, b = _ce_general(n, alpha, beta)
-        case = "iii"
+    tau, a, b, case = _ce_branch(n, alpha, beta)
     if not (alpha < tau < beta and a > 0.0 and b > 0.0):
         raise InvalidEllipsoid(
             f"cone CE formula left its validity window: tau={tau}, a={a}, b={b}")

@@ -33,7 +33,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class SolverConfig:
     eps: float = 1e-7
     max_iter: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         if not self.eps > 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineMap, Ellipsoid, identity_map
+from .core import AffineMap, Ellipsoid, symmetric_roots
 from .errors import SingularShape
 
 _CLOSURE_TOL = 1e-10
@@ -54,11 +54,10 @@ class FiniteGroup:
         if self.form is not None:
             form = np.asarray(self.form, dtype=float)
             object.__setattr__(self, "form", form)
-            vals, vecs = np.linalg.eigh(0.5 * (form + form.T))
-            if np.any(vals <= 0.0):
+            form = 0.5 * (form + form.T)
+            if np.any(np.linalg.eigvalsh(form) <= 0.0):
                 raise ValueError("invariant form must be positive definite")
-            root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-            root_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+            root, root_inv = symmetric_roots(form)
         else:
             root = root_inv = np.eye(n)
         eye = np.eye(n)
@@ -74,20 +73,23 @@ class FiniteGroup:
                 or np.max(np.abs(ident.offset)) > _CLOSURE_TOL):
             raise ValueError("identity element missing")
 
+        from scipy.spatial import cKDTree
+
+        # every product and every inverse must be an element, up to
+        # _CLOSURE_TOL in the max-norm over linear part and offset
         flat = _flatten(elements)
+        tree = cKDTree(flat)
         linears = np.array([g.linear for g in elements])
         offsets = np.array([g.offset for g in elements])
         for g in elements:
             prod_lin = np.einsum("ik,mkj->mij", g.linear, linears)
             prod_off = g.offset + offsets @ g.linear.T
             prod = np.hstack([prod_lin.reshape(len(elements), -1), prod_off])
-            dists = np.abs(prod[:, None, :] - flat[None, :, :]).max(axis=2)
-            if np.any(dists.min(axis=1) > _CLOSURE_TOL):
+            if np.any(tree.query(prod, p=np.inf)[0] > _CLOSURE_TOL):
                 raise ValueError("group is not closed under composition")
-            inv = g.inverse()
-            inv_flat = np.concatenate([inv.linear.ravel(), inv.offset])
-            if np.abs(flat - inv_flat).max(axis=1).min() > _CLOSURE_TOL:
-                raise ValueError("group is not closed under inversion")
+        inverses = _flatten(g.inverse() for g in elements)
+        if np.any(tree.query(inverses, p=np.inf)[0] > _CLOSURE_TOL):
+            raise ValueError("group is not closed under inversion")
 
     @property
     def dim(self) -> int:

@@ -49,6 +49,11 @@ def test_shape_must_be_positive_definite():
         Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]))
     with pytest.raises(InvalidEllipsoid):
         Ellipsoid(np.zeros(2), np.diag([1.0, 0.0]))
+    # LAPACK factors this one; only the relative pivot floor rejects it
+    with pytest.raises(InvalidEllipsoid):
+        Ellipsoid(np.zeros(2), np.diag([1.0, 1e-14]))
+    # the floor scales with the trace, so a uniformly tiny shape is fine
+    Ellipsoid(np.zeros(2), 1e-20 * np.eye(2))
 
 
 def test_shape_dimension_must_match_center():

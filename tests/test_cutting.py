@@ -12,8 +12,12 @@ from extremal_ellipsoids import (
     Ellipsoid,
     EmptySlab,
     FeasibilityProblem,
+    GeneralSlab,
+    ce_slab,
     central_cut_step,
     contains,
+    denormalize,
+    normalize,
     parallel_cut_step,
     solve_feasibility,
     unit_ball,
@@ -123,6 +127,37 @@ def test_record_serializes_to_plain_types():
     assert set(d) == {"iteration", "normal", "alpha", "beta",
                       "volume_before", "volume_after", "ratio"}
     json.dumps(d)
+
+
+# bounds in units of the half-width g = (p^T X^-1 p)^(1/2): two-sided,
+# reflected (beta^2 < alpha^2), over-deep on either side, one-sided a = -inf
+_REFERENCE_BOUNDS = [(-0.3, 0.6), (-0.6, 0.3), (0.2, 7.0), (-7.0, -0.2),
+                     (-7.0, 0.4), (-math.inf, 0.2), (-math.inf, -0.5),
+                     (-math.inf, 0.0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 30])
+def test_cut_matches_the_general_slab_reduction(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        m = rng.standard_normal((n, n))
+        e = Ellipsoid(rng.standard_normal(n), m @ m.T + n * np.eye(n))
+        p = rng.standard_normal(n)
+        g = math.sqrt(p @ np.linalg.solve(e.shape, p))
+        for lo, hi in _REFERENCE_BOUNDS:
+            jitter = rng.uniform(0.95, 1.05)
+            a, b = lo * jitter * g, hi * jitter * g
+            post, record = parallel_cut_step(e, p, a, b)
+            spec, frame = normalize(GeneralSlab(e.shape, e.center, p, a, b))
+            assert spec.reflected == (min(hi, 1.0) ** 2 < max(lo, -1.0) ** 2)
+            params = ce_slab(spec)
+            ref = denormalize(params, frame)
+            scale = np.linalg.norm(ref.shape)
+            assert np.linalg.norm(post.shape - ref.shape) <= 1e-12 * scale
+            assert (np.linalg.norm(post.center - ref.center)
+                    <= 1e-12 * max(np.linalg.norm(ref.center), 1.0))
+            ratio = (params.a * params.b ** (n - 1)) ** -0.5
+            assert record.ratio == pytest.approx(ratio, rel=1e-12)
 
 
 @given(st.floats(-1.1, 0.95), st.floats(-0.95, 1.1),
@@ -251,3 +286,6 @@ def test_loop_writes_a_trace_file(tmp_path):
         entry = json.loads(line)
         assert entry["iteration"] == i
         assert entry["ratio"] <= 1.0
+    # a second solve to the same path replaces the trace, never appends
+    again = solve_feasibility(problem, max_iter=200, trace_path=str(path))
+    assert len(path.read_text().strip().splitlines()) == len(again.records)

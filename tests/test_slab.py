@@ -409,7 +409,7 @@ def test_denormalized_result_certifies_against_original_slab():
                     rng.standard_normal(3), -0.4, 0.7)
     spec, m = normalize(g)
     params = ce_slab(spec)
-    e = denormalize(params, m, spec.reflected)
+    e = denormalize(params, m)
     # the touching set is the pair of rim circles; random boundary samples
     # miss it, so feed the analytic contacts along with the sample
     body = m(np.vstack([slab_boundary_points(spec, 600),

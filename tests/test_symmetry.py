@@ -208,6 +208,12 @@ def test_builtin_group_orders():
     assert len(slab_symmetry_group(3, flip_axis=True)) == 16
 
 
+def test_hyperoctahedral_group_of_order_384_fixes_the_unit_ball():
+    group = signed_permutation_group(4)
+    assert len(group) == 384
+    assert check_invariant_ellipsoid(group, Ellipsoid(np.zeros(4), np.eye(4)))
+
+
 def test_builtin_group_guards():
     with pytest.raises(ValueError):
         cyclic_group(0)
