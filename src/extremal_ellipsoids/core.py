@@ -277,23 +277,27 @@ def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
 
 
 def polytope_is_bounded(p: Polytope) -> bool:
-    """Support-function finiteness in the +-coordinate directions (2n LPs)."""
+    """Whether a nonempty {x : Ax <= b} is bounded, in two LPs.
+
+    A feasibility LP rejects an empty body; the body is then bounded iff
+    rank A = n and some y >= 1 has A^T y = 0 (Stiemke's alternative: no
+    x != 0 has Ax <= 0).  A V-form body is bounded.
+    """
     from scipy.optimize import linprog
 
     if p.is_vform:
         return True
-    n = p.dim
-    for k in range(n):
-        for sign in (1.0, -1.0):
-            cost = np.zeros(n)
-            cost[k] = -sign
-            res = linprog(cost, A_ub=p.normals, b_ub=p.offsets,
-                          bounds=[(None, None)] * n, method="highs")
-            if res.status == 3:  # unbounded
-                return False
-            if not res.success:
-                raise EmptyBody("polytope is infeasible")
-    return True
+    a = np.asarray(p.normals, dtype=float)
+    m, n = a.shape
+    res = linprog(np.zeros(n), A_ub=a, b_ub=p.offsets,
+                  bounds=[(None, None)] * n, method="highs")
+    if not res.success:
+        raise EmptyBody("polytope is infeasible")
+    if np.linalg.matrix_rank(a) < n:
+        return False
+    res = linprog(np.zeros(m), A_eq=a.T, b_eq=np.zeros(n),
+                  bounds=[(1.0, None)] * m, method="highs")
+    return bool(res.success)
 
 
 # ---------------------------------------------------------------------------

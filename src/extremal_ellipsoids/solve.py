@@ -7,7 +7,10 @@ accuracy.
 
 ``mvie_polytope``: maximum-volume ellipsoid inside an H-polytope, by a
 log-barrier method on (c, L) with Y = L L^T, followed by a Newton polish of
-the full optimality system on the active facets.
+the full optimality system on the active facets.  The barrier Hessian is
+assembled from whole-facet arrays.  Each centering stage stops once the
+Newton decrement -grad.step falls below 1e-6, then t grows 25-fold until
+m/t <= max(eps/100, 1e-10).
 
 ``grid_oracle_slab``: exhaustive search over axial ellipsoids of a slab or
 truncated cone against sampled feasibility constraints; the independent
@@ -27,6 +30,9 @@ from .errors import DegenerateInput, InvalidBody, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton decrement below which an MVIE centering stage ends; at large t the
+# line search cannot resolve smaller decrements against phi ~ t log det L.
+_CENTERING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -199,13 +205,37 @@ def _barrier_value(a_hat, b_hat, c, lower, t):
     return float(-t * np.log(diag).sum() - np.log(r).sum())
 
 
+def _barrier_derivatives(a_hat, b_hat, c, lower, t):
+    """Gradient and Hessian of the barrier over (c, packed lower(L)).
+
+    With u_i = L^T a_i / s_i, the row dr_i = d r_i / d(c, L) is
+    (-a_i, -a_i[rows] u_i[cols]), and s_i curves L by
+    (a_i a_i^T) (x) (I - u_i u_i^T) / s_i on the packed entries.
+    """
+    n = c.shape[0]
+    rows, cols = np.tril_indices(n)
+    diag_idx = n + np.flatnonzero(rows == cols)
+    g, s, r = _barrier_state(a_hat, b_hat, c, lower)
+    u = g / s[:, None]
+    inv_r = 1.0 / r
+    a_rows = a_hat[:, rows]
+    dr = np.hstack([-a_hat, -a_rows * u[:, cols]])
+    grad = -(inv_r @ dr)
+    grad[diag_idx] -= t / np.diag(lower)
+    hess = (dr.T * inv_r ** 2) @ dr
+    w = inv_r / s
+    dr_l = dr[:, n:]
+    same = cols[:, None] == cols[None, :]
+    hess[n:, n:] += ((a_rows.T * w) @ a_rows) * same - (dr_l.T * w) @ dr_l
+    hess[diag_idx, diag_idx] += t / np.diag(lower) ** 2
+    return grad, hess
+
+
 def _mvie_barrier(a_hat, b_hat, c0, l0, eps, max_iter):
     """Minimize -t log det L - sum_i log r_i over (c, L) along a path in t."""
     n = c0.shape[0]
     rows, cols = np.tril_indices(n)
-    n_tri = rows.shape[0]
-    nvar = n + n_tri
-    diag_idx = n + np.flatnonzero(rows == cols)
+    nvar = n + rows.shape[0]
     c = c0.copy()
     lower = l0.copy()
     m = a_hat.shape[0]
@@ -216,36 +246,13 @@ def _mvie_barrier(a_hat, b_hat, c0, l0, eps, max_iter):
             total_steps += 1
             if total_steps > max_iter:
                 raise Unconverged("mvie barrier exceeded iteration budget")
-            g, s, r = _barrier_state(a_hat, b_hat, c, lower)
-            u = g / s[:, None]
-            inv_r = 1.0 / r
-
-            grad = np.zeros(nvar)
-            grad[:n] = a_hat.T @ inv_r
-            grad_l = (a_hat.T * inv_r) @ u  # sum_i a_i u_i^T / r_i
-            grad[n:] = grad_l[rows, cols]
-            grad[diag_idx] -= t / np.diag(lower)
-
-            hess = np.zeros((nvar, nvar))
-            for i in range(m):
-                dr = np.empty(nvar)
-                dr[:n] = -a_hat[i]
-                dl = -np.outer(a_hat[i], u[i])  # d r_i / d L
-                dr[n:] = dl[rows, cols]
-                hess += np.outer(dr, dr) * inv_r[i] ** 2
-                # curvature of s_i: (a a^T) (x) (I - u u^T) / s_i, packed
-                proj = np.eye(n) - np.outer(u[i], u[i])
-                a_rows = a_hat[i][rows]
-                block = np.outer(a_rows, a_rows) * proj[np.ix_(cols, cols)]
-                hess[n:, n:] += block * (inv_r[i] / s[i])
-            hess[diag_idx, diag_idx] += t / np.diag(lower) ** 2
-
+            grad, hess = _barrier_derivatives(a_hat, b_hat, c, lower, t)
             try:
                 step = np.linalg.solve(hess + 1e-13 * np.eye(nvar), -grad)
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
             decrement = float(-grad @ step)
-            if decrement <= 0.0:
+            if decrement <= _CENTERING_TOL:
                 break
             phi0 = _barrier_value(a_hat, b_hat, c, lower, t)
             alpha = 1.0
@@ -263,8 +270,6 @@ def _mvie_barrier(a_hat, b_hat, c0, l0, eps, max_iter):
                 break
             c = c_try
             lower = l_try
-            if decrement * alpha < 1e-13:
-                break
         if m / t <= max(eps * 1e-2, 1e-10):
             return c, lower, t
         t *= 25.0
@@ -283,12 +288,10 @@ def _mvie_polish(a_hat, b_hat, c, y, active):
     iu, ju = np.triu_indices(n)
     wvec = np.where(iu == ju, 1.0, math.sqrt(2.0))
     n_sym = iu.shape[0]
-    basis = []
-    for p, q in zip(iu, ju):
-        bmat = np.zeros((n, n))
-        bmat[p, q] = 1.0
-        bmat[q, p] = 1.0
-        basis.append(bmat)
+    # Y moves along B_pq = E_pq + E_qp (E_pp on the diagonal), so
+    # a^T B_pq a = pair_pq a_p a_q and, with Z = Y^-1,
+    # (Z B_pq Z)_ij = pair_pq (Z_ip Z_qj + Z_iq Z_pj) / 2
+    pair = np.where(iu == ju, 1.0, 2.0)
 
     for _ in range(10):
         idx = np.flatnonzero(active)
@@ -322,16 +325,16 @@ def _mvie_polish(a_hat, b_hat, c, y, active):
                 break
 
             jac = np.zeros((nvar, nvar))
-            for col, bmat in enumerate(basis):
-                aba = np.einsum("ij,jk,ik->i", a_act, bmat, a_act)
-                d1 = (-y_inv @ bmat @ y_inv
-                      + (a_act.T * (lam * aba / s ** 4)) @ a_act)
-                jac[:n_sym, col] = d1[iu, ju] * wvec
-                jac[n_sym:n_sym + n, col] = -((lam * aba / (2.0 * s ** 3)) @ a_act)
-                jac[n_sym + n:, col] = aba / (2.0 * s)
+            a_pair = a_act[:, iu] * a_act[:, ju]
+            aba = a_pair * pair  # row i, column pq: a_i^T B_pq a_i
+            zbz = (y_inv[np.ix_(iu, iu)] * y_inv[np.ix_(ju, ju)].T
+                   + y_inv[np.ix_(iu, ju)] * y_inv[np.ix_(iu, ju)].T) * (0.5 * pair)
+            d1 = -zbz + a_pair.T @ (aba * (lam / s ** 4)[:, None])
+            jac[:n_sym, :n_sym] = d1 * wvec[:, None]
+            jac[n_sym:n_sym + n, :n_sym] = -(a_act.T @ (aba * (lam / (2.0 * s ** 3))[:, None]))
+            jac[n_sym + n:, :n_sym] = aba / (2.0 * s)[:, None]
             jac[n_sym + n:, n_sym:n_sym + n] = a_act
-            jac[:n_sym, n_sym + n:] = -((a_act[:, iu] * a_act[:, ju]
-                                         / (s ** 2)[:, None]) * wvec).T
+            jac[:n_sym, n_sym + n:] = -((a_pair / (s ** 2)[:, None]) * wvec).T
             jac[n_sym:n_sym + n, n_sym + n:] = (a_act / s[:, None]).T
 
             step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)

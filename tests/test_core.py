@@ -347,6 +347,44 @@ def test_boundedness_detection():
     assert polytope_is_bounded(Polytope(vertices=np.eye(2)))
 
 
+def test_boundedness_of_strips_cones_and_redundant_cubes():
+    # rank-deficient: a strip in the plane, a slab in space
+    strip = Polytope(normals=np.array([[0.0, 1.0], [0.0, -1.0]]),
+                     offsets=np.ones(2))
+    assert not polytope_is_bounded(strip)
+    slab = Polytope(normals=np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0],
+                                      [2.0, 2.0, 0.0]]),
+                    offsets=np.ones(3))
+    assert not polytope_is_bounded(slab)
+    # full rank, yet unbounded: the pointed cone x_1 >= |x_2| cut off on
+    # neither side, and the same cone with a facet that only trims its tip
+    cone = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+    assert not polytope_is_bounded(Polytope(normals=cone, offsets=np.zeros(2)))
+    assert not polytope_is_bounded(
+        Polytope(normals=np.vstack([cone, [[-1.0, 0.0]]]),
+                 offsets=np.array([0.0, 0.0, -1.0])))
+    # redundant facets (far cuts, repeats, scaled copies) keep a cube bounded
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    extra = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    assert polytope_is_bounded(
+        Polytope(normals=np.vstack([cube, extra]),
+                 offsets=np.concatenate([np.ones(6), [10.0, 1.0, 3.0]])))
+
+
+def test_boundedness_of_an_empty_body_raises():
+    empty = Polytope(normals=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                       [0.0, -1.0]]),
+                     offsets=np.array([-1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(EmptyBody):
+        polytope_is_bounded(empty)
+    # emptiness is found before boundedness: an empty strip raises too
+    empty_strip = Polytope(normals=np.array([[0.0, 1.0], [0.0, -1.0]]),
+                           offsets=np.array([-1.0, -1.0]))
+    with pytest.raises(EmptyBody):
+        polytope_is_bounded(empty_strip)
+    assert polytope_is_bounded(Polytope(vertices=np.array([[0.0, 0.0, 1.0]])))
+
+
 # ---------------------------------------------------------------------------
 # Direction sequences and serialization.
 

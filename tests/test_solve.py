@@ -9,6 +9,7 @@ from extremal_ellipsoids import (
     AffineMap,
     DegenerateInput,
     Ellipsoid,
+    EmptyBody,
     InvalidBody,
     Polytope,
     SlabSpec,
@@ -227,6 +228,123 @@ def test_sandwich_between_solvers():
         x = inner.boundary_points(np.array([[math.cos(d), math.sin(d)]]))[0]
         assert body.contains_point(x, tol=1e-7)
         assert contains(outer, x, tol=1e-7)
+
+
+def _box_cut(n, m, seed):
+    """The box |x_i| <= 3/2 cut by m - 2n unit-normal facets at depths in
+    [1/2, 1]: bounded, and it holds the ball of radius 1/2."""
+    rng = np.random.default_rng(seed)
+    cuts = rng.standard_normal((m - 2 * n, n))
+    normals = np.vstack([np.eye(n), -np.eye(n),
+                         cuts / np.linalg.norm(cuts, axis=1, keepdims=True)])
+    offsets = np.concatenate([np.full(2 * n, 1.5),
+                              rng.uniform(0.5, 1.0, m - 2 * n)])
+    return normals, offsets
+
+
+def _per_facet_hessian(a_hat, b_hat, c, lower, t):
+    """The barrier Hessian summed facet by facet, as d r_i d r_i^T / r_i^2
+    plus the curvature of s_i = |L^T a_i| on the packed entries of L."""
+    n = c.shape[0]
+    rows, cols = np.tril_indices(n)
+    nvar = n + rows.shape[0]
+    hess = np.zeros((nvar, nvar))
+    for a, b in zip(a_hat, b_hat):
+        g = lower.T @ a
+        s = np.linalg.norm(g)
+        r = b - a @ c - s
+        u = g / s
+        dr = np.concatenate([-a, -np.outer(a, u)[rows, cols]])
+        hess += np.outer(dr, dr) / r ** 2
+        proj = np.eye(n) - np.outer(u, u)
+        hess[n:, n:] += (np.outer(a[rows], a[rows]) * proj[np.ix_(cols, cols)]
+                         / (r * s))
+    diag_idx = n + np.flatnonzero(rows == cols)
+    hess[diag_idx, diag_idx] += t / np.diag(lower) ** 2
+    return hess
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_packed_barrier_hessian_matches_per_facet_formula(n):
+    from extremal_ellipsoids.solve import _barrier_derivatives
+
+    rng = np.random.default_rng(40 + n)
+    a_hat, b_hat = _box_cut(n, 4 * n + 6, 40 + n)
+    c = rng.uniform(-0.02, 0.02, n)
+    lower = 0.3 * np.eye(n) + np.tril(rng.uniform(-0.02, 0.02, (n, n)))
+    t = 3.0
+    grad, hess = _barrier_derivatives(a_hat, b_hat, c, lower, t)
+    want = _per_facet_hessian(a_hat, b_hat, c, lower, t)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(hess - want)) <= 1e-12 * scale
+
+    # columns of the Hessian are central differences of the gradient
+    rows, cols = np.tril_indices(n)
+    h = 1e-6
+    fd = np.empty_like(hess)
+    for j in range(hess.shape[0]):
+        moved = []
+        for sign in (1.0, -1.0):
+            c_j, l_j = c.copy(), lower.copy()
+            if j < n:
+                c_j[j] += sign * h
+            else:
+                l_j[rows[j - n], cols[j - n]] += sign * h
+            moved.append(_barrier_derivatives(a_hat, b_hat, c_j, l_j, t)[0])
+        fd[:, j] = (moved[0] - moved[1]) / (2.0 * h)
+    assert np.max(np.abs(fd - hess)) <= 1e-6 * scale
+
+
+def _count_barrier_values(monkeypatch):
+    from extremal_ellipsoids import solve
+
+    calls = []
+    value = solve._barrier_value
+
+    def counted(*args):
+        calls.append(None)
+        return value(*args)
+
+    monkeypatch.setattr(solve, "_barrier_value", counted)
+    return calls
+
+
+def test_mvie_work_does_not_depend_on_a_shift(monkeypatch):
+    # moving a polytope moves the barrier path with it; the centering stop
+    # must not hinge on rounding, or the work swings by a factor of two
+    normals, offsets = _box_cut(3, 30, 2)
+    shifts = np.random.default_rng(1002).uniform(-0.1, 0.1, (5, 3))
+    calls = _count_barrier_values(monkeypatch)
+    counts = []
+    for shift in [np.zeros(3), *shifts]:
+        calls.clear()
+        body = Polytope(normals=normals, offsets=offsets + normals @ shift)
+        e, _ = mvie_polytope(body)
+        assert certify_ie(body, e, tol=1e-8).passed
+        counts.append(len(calls))
+    assert max(counts) <= 400
+    assert max(counts) <= 1.1 * min(counts)
+
+
+def test_mvie_twelve_dimensions_certifies_within_a_call_budget(monkeypatch):
+    # the time of this solve varies with the machine; its work does not
+    normals, offsets = _box_cut(12, 150, 12)
+    body = Polytope(normals=normals, offsets=offsets)
+    calls = _count_barrier_values(monkeypatch)
+    e, _ = mvie_polytope(body)
+    assert certify_ie(body, e, tol=1e-8).passed
+    assert len(calls) <= 400
+
+
+def test_mvie_rejects_unbounded_and_empty_bodies():
+    cone = Polytope(normals=np.array([[-1.0, 1.0], [-1.0, -1.0]]),
+                    offsets=np.zeros(2))
+    with pytest.raises(InvalidBody):
+        mvie_polytope(cone)
+    empty = Polytope(normals=np.vstack([np.eye(2), -np.eye(2)]),
+                     offsets=np.array([1.0, 1.0, -2.0, 1.0]))
+    with pytest.raises(EmptyBody):
+        mvie_polytope(empty)
 
 
 # ---------------------------------------------------------------------------
