@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import Ellipsoid, Polytope, symmetric_roots, unit_ball
 from .errors import NotNonnegative, NotOptimal
@@ -70,6 +69,14 @@ class CertResult:
                                for row in self.certificate.contacts]
             out["multipliers"] = [float(v) for v in self.certificate.multipliers]
         return out
+
+
+def nnls(a, b):
+    """``scipy.optimize.nnls``, imported on the first call: loading
+    ``scipy.optimize`` is the larger part of importing the CLI."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(a, b)
 
 
 def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:

@@ -307,8 +307,7 @@ def _cmd_mvee(args):
 def _cmd_mvie(args):
     payload = _load_input(args.input, table_key="halfspaces")
     poly = _polytope_from(payload)
-    cfg = SolverConfig(eps=args.eps)
-    ell, cert = mvie_polytope(poly, cfg)
+    ell, cert = mvie_polytope(poly)
     result = certify_ie(poly, ell, tol=args.tol)
     out = {"ellipsoid": ellipsoid_to_dict(ell),
            "certificate": result.to_dict()}
@@ -426,14 +425,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="exell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--eps", type=float, default=1e-7)
-        p.add_argument("--tol", type=float, default=1e-8)
-        return p
-
     for name in ("slab-ce", "slab-ie", "cone-ce"):
-        p = add(name)
+        p = sub.add_parser(name)
         p.add_argument("--dim", type=int, required=True)
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--beta", type=float, required=True)
@@ -442,25 +435,27 @@ def _build_parser() -> _Parser:
         p.add_argument("--plot", metavar="FILE")
 
     for name in ("mvee", "mvie"):
-        p = add(name)
+        p = sub.add_parser(name)
         p.add_argument("--input", metavar="FILE", required=True,
                        help="JSON document, or a whitespace table with one "
                             "point (mvee) or one halfspace row 'a_1 .. a_n b' "
                             "(mvie) per line; '#' starts a comment")
         p.add_argument("--plot", metavar="FILE")
+        if name == "mvee":
+            p.add_argument("--eps", type=float, default=1e-7)
+        p.add_argument("--tol", type=float, default=1e-8)
 
-    p = add("certify")
-    p.add_argument("--input", metavar="FILE", required=True)
+    for name in ("certify", "symmetry"):
+        p = sub.add_parser(name)
+        p.add_argument("--input", metavar="FILE", required=True)
+        p.add_argument("--tol", type=float, default=1e-8)
 
-    p = add("cut-solve")
+    p = sub.add_parser("cut-solve")
     p.add_argument("--input", metavar="FILE", required=True)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--trace", metavar="FILE")
 
-    p = add("symmetry")
-    p.add_argument("--input", metavar="FILE", required=True)
-
-    p = add("oracle")
+    p = sub.add_parser("oracle")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)

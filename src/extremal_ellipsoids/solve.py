@@ -5,12 +5,14 @@ ascent on the lifted dual (points (x, 1) in R^(n+1)) with away steps and a
 closed-form step size, then a Newton polish on the support to certification
 accuracy.
 
-``mvie_polytope``: maximum-volume ellipsoid inside an H-polytope, by a
-log-barrier method on (c, L) with Y = L L^T, followed by a Newton polish of
-the full optimality system on the active facets.  The barrier Hessian is
-assembled from whole-facet arrays.  Each centering stage stops once the
-Newton decrement -grad.step falls below 1e-6, then t grows 25-fold until
-m/t <= max(eps/100, 1e-10).
+``mvie_polytope``: maximum-volume ellipsoid {c + L u : |u| <= 1} inside an
+H-polytope, by one primal-dual Newton method on (c, L, lambda) over all
+facets: minimize -log det L subject to r_i = b_i - a_i^T c - |L^T a_i| >= 0
+with lambda_i r_i driven to mu.  mu falls tenfold whenever the iterate is
+centred; the method stops once lambda^T r <= 1e-12 n and the dual
+residual is below 1e-9 of |grad log det L| or stops falling.  The
+multipliers lambda_i |L^T a_i| at the tangency points are the Fritz John
+certificate, which is checked before the result is returned.
 
 ``grid_oracle_slab``: exhaustive search over axial ellipsoids of a slab or
 truncated cone against sampled feasibility constraints; the independent
@@ -24,15 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import ContactCertificate, recover_multipliers
+from .certify import (ContactCertificate, fritz_john_residuals,
+                      recover_multipliers)
 from .core import Ellipsoid, Polytope, chebyshev_center, polytope_is_bounded
 from .errors import DegenerateInput, InvalidBody, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Newton decrement below which an MVIE centering stage ends; at large t the
-# line search cannot resolve smaller decrements against phi ~ t log det L.
-_CENTERING_TOL = 1e-6
+# MVIE Newton steps before Unconverged; seeded test and benchmark bodies
+# (n <= 12, m <= 150) take at most 30
+_NEWTON_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,9 @@ def _affinely_spanning(points: np.ndarray) -> bool:
 
 
 def _dedup_rows(points: np.ndarray) -> np.ndarray:
-    seen = {}
-    for idx, row in enumerate(points):
-        seen.setdefault(row.tobytes(), idx)
-    keep = sorted(seen.values())
-    return points[keep]
+    # first occurrences, in input order
+    _, first = np.unique(points, axis=0, return_index=True)
+    return points[np.sort(first)]
 
 
 def _hull_candidates(points: np.ndarray) -> np.ndarray:
@@ -188,186 +189,108 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
 # ---------------------------------------------------------------------------
 # MVIE of an H-polytope.
 
-def _barrier_state(a_hat, b_hat, c, lower):
-    g = a_hat @ lower  # row i holds L^T a_i
-    s = np.linalg.norm(g, axis=1)
-    r = b_hat - a_hat @ c - s
-    return g, s, r
-
-
 def _barrier_value(a_hat, b_hat, c, lower, t):
     diag = np.diag(lower)
     if np.any(diag <= 0.0):
         return math.inf
-    _, _, r = _barrier_state(a_hat, b_hat, c, lower)
+    r = b_hat - a_hat @ c - np.linalg.norm(a_hat @ lower, axis=1)
     if np.any(r <= 0.0):
         return math.inf
     return float(-t * np.log(diag).sum() - np.log(r).sum())
 
 
-def _barrier_derivatives(a_hat, b_hat, c, lower, t):
-    """Gradient and Hessian of the barrier over (c, packed lower(L)).
+def _newton_system(a_hat, b_hat, c, lower, lam):
+    """The primal-dual Newton system over (c, packed lower(L)).
 
-    With u_i = L^T a_i / s_i, the row dr_i = d r_i / d(c, L) is
-    (-a_i, -a_i[rows] u_i[cols]), and s_i curves L by
-    (a_i a_i^T) (x) (I - u_i u_i^T) / s_i on the packed entries.
+    Returns the gradient of f = -log det L, the slacks
+    r_i = b_i - a_i^T c - s_i with s_i = |L^T a_i|, their Jacobian dr, and
+    the matrix grad^2 f + sum_i lam_i grad^2 s_i + dr^T diag(lam/r) dr.
+    With u_i = L^T a_i / s_i, the row dr_i is (-a_i, -a_i[rows] u_i[cols]),
+    and s_i curves L by (a_i a_i^T) (x) (I - u_i u_i^T) / s_i on the packed
+    entries.  At lam = mu/r the matrix is mu times the Hessian of the
+    barrier value at t = 1/mu.
     """
     n = c.shape[0]
     rows, cols = np.tril_indices(n)
     diag_idx = n + np.flatnonzero(rows == cols)
-    g, s, r = _barrier_state(a_hat, b_hat, c, lower)
+    g = a_hat @ lower  # row i holds L^T a_i
+    s = np.linalg.norm(g, axis=1)
+    r = b_hat - a_hat @ c - s
     u = g / s[:, None]
-    inv_r = 1.0 / r
     a_rows = a_hat[:, rows]
     dr = np.hstack([-a_hat, -a_rows * u[:, cols]])
-    grad = -(inv_r @ dr)
-    grad[diag_idx] -= t / np.diag(lower)
-    hess = (dr.T * inv_r ** 2) @ dr
-    w = inv_r / s
+    grad_f = np.zeros(dr.shape[1])
+    grad_f[diag_idx] = -1.0 / np.diag(lower)
+    matrix = (dr.T * (lam / r)) @ dr
+    w = lam / s
     dr_l = dr[:, n:]
     same = cols[:, None] == cols[None, :]
-    hess[n:, n:] += ((a_rows.T * w) @ a_rows) * same - (dr_l.T * w) @ dr_l
-    hess[diag_idx, diag_idx] += t / np.diag(lower) ** 2
-    return grad, hess
+    matrix[n:, n:] += ((a_rows.T * w) @ a_rows) * same - (dr_l.T * w) @ dr_l
+    matrix[diag_idx, diag_idx] += grad_f[diag_idx] ** 2
+    return grad_f, r, dr, matrix
 
 
-def _mvie_barrier(a_hat, b_hat, c0, l0, eps, max_iter):
-    """Minimize -t log det L - sum_i log r_i over (c, L) along a path in t."""
-    n = c0.shape[0]
-    rows, cols = np.tril_indices(n)
-    nvar = n + rows.shape[0]
-    c = c0.copy()
-    lower = l0.copy()
-    m = a_hat.shape[0]
-    t = 1.0
-    total_steps = 0
-    while True:
-        for _ in range(100):
-            total_steps += 1
-            if total_steps > max_iter:
-                raise Unconverged("mvie barrier exceeded iteration budget")
-            grad, hess = _barrier_derivatives(a_hat, b_hat, c, lower, t)
-            try:
-                step = np.linalg.solve(hess + 1e-13 * np.eye(nvar), -grad)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
-            decrement = float(-grad @ step)
-            if decrement <= _CENTERING_TOL:
-                break
-            phi0 = _barrier_value(a_hat, b_hat, c, lower, t)
-            alpha = 1.0
-            accepted = False
-            for _ in range(60):
-                c_try = c + alpha * step[:n]
-                l_try = lower.copy()
-                l_try[rows, cols] += alpha * step[n:]
-                phi_try = _barrier_value(a_hat, b_hat, c_try, l_try, t)
-                if phi_try <= phi0 - 0.25 * alpha * decrement:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
-            c = c_try
-            lower = l_try
-        if m / t <= max(eps * 1e-2, 1e-10):
-            return c, lower, t
-        t *= 25.0
+def _mvie_newton(a_hat, b_hat, max_iter):
+    """Minimize -log det L subject to r_i(c, L) >= 0 from c = 0, L = I/2.
 
-
-def _mvie_polish(a_hat, b_hat, c, y, active):
-    """Newton solve of the inscribed-ellipsoid optimality system.
-
-    Unknowns are the symmetric Y = X^(-1), the center c, and one
-    multiplier per active facet; equations are
-    Y^(-1) = sum lambda_i a_i a_i^T / s_i^2, sum lambda_i a_i / s_i = 0,
-    and activity a_i^T c + s_i = b_i with s_i = (a_i^T Y a_i)^(1/2).
-    A facet whose multiplier turns negative is inactive; drop and re-solve.
+    One primal-dual Newton step per iteration: the (c, L) step is
+    backtracked by Armijo on the barrier value at t = 1/mu, and the
+    multipliers take their own step, kept 1% off zero.  mu falls tenfold
+    once the iterate is centred (every lam_i r_i / mu in [1/2, 2] and the
+    dual residual grad f - dr^T lam at most |grad f| / 2).  The loop stops
+    at lam^T r <= 1e-12 n once the dual residual is below 1e-9 |grad f| or
+    stops falling.
     """
-    n = c.shape[0]
-    iu, ju = np.triu_indices(n)
-    wvec = np.where(iu == ju, 1.0, math.sqrt(2.0))
-    n_sym = iu.shape[0]
-    # Y moves along B_pq = E_pq + E_qp (E_pp on the diagonal), so
-    # a^T B_pq a = pair_pq a_p a_q and, with Z = Y^-1,
-    # (Z B_pq Z)_ij = pair_pq (Z_ip Z_qj + Z_iq Z_pj) / 2
-    pair = np.where(iu == ju, 1.0, 2.0)
+    n = a_hat.shape[1]
+    rows, cols = np.tril_indices(n)
+    c = np.zeros(n)
+    lower = 0.5 * np.eye(n)
+    mu = 1.0
+    lam = mu / (b_hat - 0.5)  # unit normals: every s_i is 1/2
+    prev = math.inf
+    for _ in range(max_iter):
+        grad_f, r, dr, matrix = _newton_system(a_hat, b_hat, c, lower, lam)
+        dual = float(np.linalg.norm(grad_f - dr.T @ lam))
+        size = float(np.linalg.norm(grad_f))
+        if lam @ r <= 1e-12 * n and (dual <= 1e-9 * size or dual >= prev):
+            return c, lower, lam
+        prev = dual
+        ratio = lam * r / mu
+        if ratio.min() >= 0.5 and ratio.max() <= 2.0 and dual <= 0.5 * size:
+            mu *= 0.1
+        rhs = dr.T @ (mu / r) - grad_f
+        step = np.linalg.solve(matrix, rhs)
+        dlam = mu / r - lam - lam / r * (dr @ step)
 
-    for _ in range(10):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            raise Unconverged("mvie polish lost all active facets")
-        a_act = a_hat[idx]
-        b_act = b_hat[idx]
-        k = idx.size
-        nvar = n_sym + n + k
-
-        ya = a_act @ y
-        s = np.sqrt(np.einsum("ij,ij->i", ya, a_act))
-        y_inv = np.linalg.inv(y)
-        cols_mat = (a_act[:, iu] * a_act[:, ju] / (s ** 2)[:, None]) * wvec
-        lam, *_ = np.linalg.lstsq(cols_mat.T, y_inv[iu, ju] * wvec, rcond=None)
-        lam = np.maximum(lam, 0.0)
-
-        y_cur = y.copy()
-        c_cur = c.copy()
-        ok = False
-        for _ in range(80):
-            ya = a_act @ y_cur
-            s = np.sqrt(np.einsum("ij,ij->i", ya, a_act))
-            y_inv = np.linalg.inv(y_cur)
-            r1 = y_inv - (a_act.T * (lam / s ** 2)) @ a_act
-            r2 = (lam / s) @ a_act
-            r3 = a_act @ c_cur + s - b_act
-            resid = np.concatenate([r1[iu, ju] * wvec, r2, r3])
-            if float(np.max(np.abs(resid))) < 1e-13:
-                ok = True
+        t = 1.0 / mu
+        phi = _barrier_value(a_hat, b_hat, c, lower, t)
+        decrease = 0.25 * t * float(rhs @ step)
+        alpha = 1.0
+        for _ in range(60):
+            c_try = c + alpha * step[:n]
+            l_try = lower.copy()
+            l_try[rows, cols] += alpha * step[n:]
+            if (_barrier_value(a_hat, b_hat, c_try, l_try, t)
+                    <= phi - alpha * decrease):
+                c, lower = c_try, l_try
                 break
-
-            jac = np.zeros((nvar, nvar))
-            a_pair = a_act[:, iu] * a_act[:, ju]
-            aba = a_pair * pair  # row i, column pq: a_i^T B_pq a_i
-            zbz = (y_inv[np.ix_(iu, iu)] * y_inv[np.ix_(ju, ju)].T
-                   + y_inv[np.ix_(iu, ju)] * y_inv[np.ix_(iu, ju)].T) * (0.5 * pair)
-            d1 = -zbz + a_pair.T @ (aba * (lam / s ** 4)[:, None])
-            jac[:n_sym, :n_sym] = d1 * wvec[:, None]
-            jac[n_sym:n_sym + n, :n_sym] = -(a_act.T @ (aba * (lam / (2.0 * s ** 3))[:, None]))
-            jac[n_sym + n:, :n_sym] = aba / (2.0 * s)[:, None]
-            jac[n_sym + n:, n_sym:n_sym + n] = a_act
-            jac[:n_sym, n_sym + n:] = -((a_pair / (s ** 2)[:, None]) * wvec).T
-            jac[n_sym:n_sym + n, n_sym + n:] = (a_act / s[:, None]).T
-
-            step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-            alpha = 1.0
-            moved = False
-            for _ in range(40):
-                y_try = y_cur.copy()
-                y_try[iu, ju] += alpha * step[:n_sym]
-                y_try[ju, iu] = y_try[iu, ju]
-                try:
-                    np.linalg.cholesky(y_try)
-                except np.linalg.LinAlgError:
-                    alpha *= 0.5
-                    continue
-                moved = True
-                break
-            if not moved:
-                break
-            y_cur = y_try
-            c_cur = c_cur + alpha * step[n_sym:n_sym + n]
-            lam = lam + alpha * step[n_sym + n:]
-        if not ok:
-            raise Unconverged("mvie polish did not reach the optimality system")
-        if np.any(lam < -1e-10):
-            active = active.copy()
-            active[idx[lam < -1e-10]] = False
-            continue
-        return c_cur, y_cur, idx, np.maximum(lam, 0.0)
-    raise Unconverged("mvie polish failed to settle the active facet set")
+            alpha *= 0.5
+        falling = dlam < 0.0
+        beta = min(1.0, 0.99 * float(np.min(lam[falling] / -dlam[falling],
+                                            initial=math.inf)))
+        lam = lam + beta * dlam
+    raise Unconverged("mvie Newton method exceeded its step budget")
 
 
 def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
-    """Maximum-volume inscribed ellipsoid of a bounded H-polytope."""
+    """Maximum-volume inscribed ellipsoid of a bounded H-polytope.
+
+    Solved in the frame where the Dikin ellipsoid at the Chebyshev center
+    is the unit ball: there the body is round, so the slacks and the Newton
+    system keep their precision on thin bodies.  The multipliers lam_i s_i
+    of the facets' tangency points are the Fritz John certificate, since
+    stationarity in L reads sum_i lam_i a_i a_i^T / s_i = Y^(-1).
+    """
     if h.is_vform:
         raise InvalidBody("mvie needs an H-form polytope")
     if not polytope_is_bounded(h):
@@ -377,27 +300,30 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
         raise InvalidBody("zero facet normal")
     a_hat = h.normals / scale[:, None]
     b_hat = h.offsets / scale
-    c0, r0 = chebyshev_center(h)
+    c0, _ = chebyshev_center(h)
+    slack = b_hat - a_hat @ c0
 
     n = h.dim
-    l0 = 0.5 * r0 * np.eye(n)
-    c, lower, t = _mvie_barrier(a_hat, b_hat, c0, l0, cfg.eps, cfg.max_iter)
-    y = lower @ lower.T
+    frame = np.linalg.cholesky(np.linalg.inv((a_hat.T / slack ** 2) @ a_hat))
+    a_frame = a_hat @ frame
+    norms = np.linalg.norm(a_frame, axis=1)
+    a_frame /= norms[:, None]
+    c, lower, lam = _mvie_newton(a_frame, slack / norms,
+                                 min(cfg.max_iter, _NEWTON_BUDGET))
 
-    _, _, r = _barrier_state(a_hat, b_hat, c, lower)
-    active = r <= math.sqrt(1.0 / t)
-    if not active.any():
-        active = r <= r.min() * 10.0 + 1e-12
-    c, y, idx, lam = _mvie_polish(a_hat, b_hat, c, y, active)
-
-    shape = np.linalg.inv(y)
-    shape = 0.5 * (shape + shape.T)
-    ell = Ellipsoid(c, shape)
-    ya = a_hat[idx] @ y
-    s_act = np.sqrt(np.einsum("ij,ij->i", ya, a_hat[idx]))
-    contacts = c + ya / s_act[:, None]
+    g = a_frame @ lower
+    s = np.linalg.norm(g, axis=1)
+    lam = lam * s
     keep = lam > 1e-10
-    contacts, lam = contacts[keep], lam[keep]
+    contacts = c0 + (c + (g[keep] / s[keep, None]) @ lower.T) @ frame.T
+    lam = lam[keep]
+    inv_lower = np.linalg.inv(frame @ lower)
+    shape = inv_lower.T @ inv_lower
+    ell = Ellipsoid(c0 + frame @ c, 0.5 * (shape + shape.T))
+    # the stop is judged in the frame; in the input coordinates rounding
+    # grows with cond X, so the certificate is checked there too
+    if max(fritz_john_residuals(ell, contacts, lam).values()) > 1e-8:
+        raise Unconverged("mvie stopped short of the Fritz John system")
     if contacts.shape[0] > n * (n + 3) // 2:
         # nearly parallel facets can all activate (tangency along a smooth
         # patch); NNLS picks a sparse multiplier vertex within John's bound

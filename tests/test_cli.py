@@ -110,6 +110,19 @@ def test_usage_errors_exit_two(capsys):
     assert out["error"]["code"] == "usage"
 
 
+def test_solver_flags_exist_only_where_they_are_read(capsys, tmp_path):
+    code, out = run_json(capsys, "slab-ce", "--eps", "1e-3", "--dim", "2",
+                         "--alpha", "-0.5", "--beta", "0.5")
+    assert code == 2
+    assert out["error"]["code"] == "usage"
+    path = write_json(tmp_path, "box.json", BOX_HALFSPACES)
+    code, out = run_json(capsys, "mvie", "--eps", "1e-3", "--input", path)
+    assert code == 2
+    assert out["error"]["code"] == "usage"
+    code, _ = run_json(capsys, "mvie", "--tol", "1e-6", "--input", path)
+    assert code == 0
+
+
 def test_plot_requires_two_dimensions(capsys, tmp_path):
     code, out = run_json(capsys, "slab-ce", "--dim", "3",
                          "--alpha", "-0.2", "--beta", "0.5",
