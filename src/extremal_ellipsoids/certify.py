@@ -234,7 +234,8 @@ def john_factors(body, e: Ellipsoid, kind: str, symmetric: bool,
 
     CE: the ellipsoid shrunk by n (sqrt(n) for centrally symmetric bodies)
     must fit inside the body.  IE: the ellipsoid blown up by the same
-    factor must contain the body.
+    factor must contain the body.  CE on a point set needs the facets of
+    its convex hull, which qhull builds at a cost exponential in n.
     """
     n = e.dim
     factor = math.sqrt(n) if symmetric else float(n)

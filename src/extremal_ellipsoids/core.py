@@ -118,10 +118,14 @@ def unit_ball(n: int) -> Ellipsoid:
 
 def volume(e: Ellipsoid) -> float:
     """det(X)^(-1/2) times the unit-ball volume."""
-    lower = cholesky_spd(e.shape)
+    return factor_volume(cholesky_spd(e.shape))
+
+
+def factor_volume(lower: np.ndarray) -> float:
+    """Volume of the ellipsoid whose shape X has Cholesky factor ``lower``."""
     # det(X)^(-1/2) = prod(diag(L))^(-1), computed in log space
     log_det_root = float(np.sum(np.log(np.diag(lower))))
-    return math.exp(-log_det_root) * unit_ball_volume(e.dim)
+    return math.exp(-log_det_root) * unit_ball_volume(lower.shape[0])
 
 
 def support_function(e: Ellipsoid, d) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import Ellipsoid, volume
+from .core import Ellipsoid, factor_volume, volume
 from .errors import EmptySlab
 from .slab import SlabSpec, ce_slab
 
@@ -102,7 +102,7 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
     if alpha >= 1.0 or beta <= -1.0:
         raise EmptySlab(f"slab [{alpha:.6g}, {beta:.6g}] misses the ellipsoid")
     alpha, beta = max(alpha, -1.0), min(beta, 1.0)
-    vol_before = volume(e)
+    vol_before = factor_volume(lower)
 
     if alpha * beta <= -1.0 / n + _NOOP_TOL:
         record = CutStepRecord(iteration, p, alpha, beta,

@@ -1,9 +1,11 @@
 """Numerical extremal-ellipsoid solvers and the brute-force grid oracle.
 
 ``mvee_points``: minimum-volume ellipsoid around a point set, by first-order
-ascent on the lifted dual (points (x, 1) in R^(n+1)) with away steps and a
-closed-form step size, then a Newton polish on the support to certification
-accuracy.
+ascent on the lifted dual (q_i = (x_i, 1), weights w) over all the points,
+with no hull prefilter: Frank-Wolfe and away steps of closed-form size,
+each updating M(w)^-1 and kappa_i = q_i^T M^-1 q_i by Sherman-Morrison in
+O(mn).  Only kappa recomputed from w may end the loop; a Newton polish on
+the support then reaches certification accuracy.
 
 ``mvie_polytope``: maximum-volume ellipsoid {c + L u : |u| <= 1} inside an
 H-polytope, by one primal-dual Newton method on (c, L, lambda) over all
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (ContactCertificate, fritz_john_residuals,
-                      recover_multipliers)
+from .certify import (MULTIPLIER_PRUNE, ContactCertificate,
+                      fritz_john_residuals, recover_multipliers)
 from .core import Ellipsoid, Polytope, chebyshev_center, polytope_is_bounded
 from .errors import DegenerateInput, InvalidBody, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
@@ -50,6 +52,20 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
+def _certificate(ell: Ellipsoid, contacts: np.ndarray, lam: np.ndarray,
+                 kind: str) -> ContactCertificate:
+    """The contacts with multipliers above MULTIPLIER_PRUNE; a support
+    longer than John's bound n(n+3)/2 gets a basic multiplier set by NNLS."""
+    keep = lam > MULTIPLIER_PRUNE
+    contacts, lam = contacts[keep], lam[keep]
+    if contacts.shape[0] > ell.dim * (ell.dim + 3) // 2:
+        # e.g. many nearly parallel facets or cospherical points are active
+        lam = recover_multipliers(ell, contacts)
+        keep = lam > MULTIPLIER_PRUNE
+        contacts, lam = contacts[keep], lam[keep]
+    return ContactCertificate(contacts, lam, kind)
+
+
 # ---------------------------------------------------------------------------
 # MVEE of a point set.
 
@@ -64,21 +80,35 @@ def _dedup_rows(points: np.ndarray) -> np.ndarray:
     return points[np.sort(first)]
 
 
-def _hull_candidates(points: np.ndarray) -> np.ndarray:
-    # restricting to extreme points never changes the result
-    if points.shape[0] <= points.shape[1] + 2:
-        return points
+def _inverse_design(lifted: np.ndarray, w: np.ndarray):
+    """M(w)^-1 and kappa_i = q_i^T M(w)^-1 q_i for M(w) = sum_i w_i q_i q_i^T."""
     try:
-        from scipy.spatial import ConvexHull
-
-        vertices = np.sort(ConvexHull(points).vertices)
-        return points[vertices]
-    except Exception:
-        return points
+        minv = np.linalg.inv((lifted.T * w) @ lifted)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInput("weight iterate lost full rank") from exc
+    return minv, np.einsum("ij,jk,ik->i", lifted, minv, lifted, optimize=True)
 
 
-def _lifted_gram(pts_lifted: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (pts_lifted.T * w) @ pts_lifted
+def _start_weights(points: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+    """Uniform weights on all points (optimal on a group orbit) or on the
+    per-axis extreme points (a Kumar-Yildirim core set, which spares a cloud
+    an away step per interior point), whichever has the larger log det M."""
+    m = points.shape[0]
+    extremes = np.unique(np.concatenate([points.argmin(0), points.argmax(0)]))
+    starts = [np.full(m, 1.0 / m), np.zeros(m)]
+    starts[1][extremes] = 1.0 / extremes.size
+    return max(starts,
+               key=lambda w: np.linalg.slogdet((lifted.T * w) @ lifted)[1])
+
+
+def _step(kappa: np.ndarray, w: np.ndarray, d: int):
+    """(gap, j): the larger of the Frank-Wolfe gap kappa_max/d - 1 and the
+    away gap 1 - kappa_min/d over the support, and the point it names."""
+    j_fw = int(np.argmax(kappa))
+    j_aw = int(np.argmin(np.where(w > 0.0, kappa, math.inf)))
+    eps_fw = kappa[j_fw] / d - 1.0
+    eps_aw = 1.0 - kappa[j_aw] / d
+    return (eps_fw, j_fw) if eps_fw >= eps_aw else (eps_aw, j_aw)
 
 
 def _newton_polish_weights(pts_lifted: np.ndarray, w: np.ndarray,
@@ -89,16 +119,14 @@ def _newton_polish_weights(pts_lifted: np.ndarray, w: np.ndarray,
     for _ in range(60):
         support = np.flatnonzero(w > support_tol)
         q = pts_lifted[support]
-        m = _lifted_gram(pts_lifted, w)
         try:
-            minv_q = np.linalg.solve(m, q.T)
-        except np.linalg.LinAlgError:
+            minv, kappa = _inverse_design(q, w[support])
+        except DegenerateInput:
             break
-        kappa = np.einsum("ij,ji->i", q, minv_q)
         resid = kappa - d
         if np.max(np.abs(resid)) < 1e-13 * d:
             break
-        cross = q @ minv_q  # entries q_i^T M^-1 q_j
+        cross = q @ minv @ q.T  # entries q_i^T M^-1 q_j
         jac = -cross ** 2
         step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
         w_sup = w[support]
@@ -124,66 +152,43 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     n = pts.shape[1]
     if pts.shape[0] < n + 1 or not _affinely_spanning(pts):
         raise DegenerateInput("points must affinely span the ambient space")
-    cand = _hull_candidates(_dedup_rows(pts))
-    m = cand.shape[0]
+    pts = _dedup_rows(pts)
     d = n + 1
-    lifted = np.hstack([cand, np.ones((m, 1))])
+    lifted = np.hstack([pts, np.ones((pts.shape[0], 1))])
 
-    w = np.full(m, 1.0 / m)
-    converged = False
-    gap = math.inf
+    w = _start_weights(pts, lifted)
+    minv, kappa = _inverse_design(lifted, w)
     for _ in range(cfg.max_iter):
-        gram = _lifted_gram(lifted, w)
-        try:
-            minv_qt = np.linalg.solve(gram, lifted.T)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateInput("weight iterate lost full rank") from exc
-        kappa = np.einsum("ij,ji->i", lifted, minv_qt)
-        j_fw = int(np.argmax(kappa))
-        eps_fw = kappa[j_fw] / d - 1.0
-        kappa_sup = np.where(w > 0.0, kappa, math.inf)
-        j_aw = int(np.argmin(kappa_sup))
-        eps_aw = 1.0 - kappa[j_aw] / d
-        gap = max(eps_fw, eps_aw)
+        gap, j = _step(kappa, w, d)
         if gap <= cfg.eps:
-            converged = True
-            break
-        if eps_fw >= eps_aw:
-            j = j_fw
-            kj = kappa[j]
-            sigma = (kj - d) / (d * (kj - 1.0))
-        else:
-            j = j_aw
-            kj = kappa[j]
-            sigma = (kj - d) / (d * (kj - 1.0))
-            if w[j] < 1.0:
-                sigma = max(sigma, -w[j] / (1.0 - w[j]))
+            # the updated kappa drifts; only kappa recomputed from w may stop
+            minv, kappa = _inverse_design(lifted, w)
+            gap, j = _step(kappa, w, d)
+            if gap <= cfg.eps:
+                break
+        # maximize log det((1 - sigma) M + sigma q_j q_j^T), down to dropping
+        # q_j; log det only rises towards the drop when kappa_j <= 1
+        kj = kappa[j]
+        drop = -w[j] / (1.0 - w[j])
+        sigma = drop if kj <= 1.0 else max((kj - d) / (d * (kj - 1.0)), drop)
+        # Sherman-Morrison for M <- (1 - sigma) M + sigma q_j q_j^T
+        v = minv @ lifted[j]
+        denom = 1.0 - sigma + sigma * kj
+        minv = (minv - (sigma / denom) * np.outer(v, v)) / (1.0 - sigma)
+        kappa = (kappa - (sigma / denom) * (lifted @ v) ** 2) / (1.0 - sigma)
         w *= 1.0 - sigma
-        w[j] += sigma
-        np.maximum(w, 0.0, out=w)
-    if not converged:
+        w[j] = 0.0 if sigma == drop else w[j] + sigma
+    else:
         raise Unconverged(f"mvee gap {gap:.3e} after {cfg.max_iter} iterations",
                           gap=gap)
 
     w = _newton_polish_weights(lifted, w, support_tol=1e-9)
-    center = w @ cand
-    centered = cand - center
+    center = w @ pts
+    centered = pts - center
     cov = (centered.T * w) @ centered
     shape = np.linalg.inv(cov) / n
-    shape = 0.5 * (shape + shape.T)
-    ell = Ellipsoid(center, shape)
-
-    lam = n * w
-    keep = np.flatnonzero(lam > 1e-10)
-    contacts = cand[keep]
-    lam = lam[keep]
-    if contacts.shape[0] > n * (n + 3) // 2:
-        # rare over-long support: recover a basic multiplier set instead
-        lam = recover_multipliers(ell, contacts)
-        basic = lam > 1e-10
-        contacts, lam = contacts[basic], lam[basic]
-    cert = ContactCertificate(contacts, lam, "ce")
-    return ell, cert
+    ell = Ellipsoid(center, 0.5 * (shape + shape.T))
+    return ell, _certificate(ell, pts, n * w, "ce")
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +308,6 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     c0, _ = chebyshev_center(h)
     slack = b_hat - a_hat @ c0
 
-    n = h.dim
     frame = np.linalg.cholesky(np.linalg.inv((a_hat.T / slack ** 2) @ a_hat))
     a_frame = a_hat @ frame
     norms = np.linalg.norm(a_frame, axis=1)
@@ -314,9 +318,7 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     g = a_frame @ lower
     s = np.linalg.norm(g, axis=1)
     lam = lam * s
-    keep = lam > 1e-10
-    contacts = c0 + (c + (g[keep] / s[keep, None]) @ lower.T) @ frame.T
-    lam = lam[keep]
+    contacts = c0 + (c + (g / s[:, None]) @ lower.T) @ frame.T
     inv_lower = np.linalg.inv(frame @ lower)
     shape = inv_lower.T @ inv_lower
     ell = Ellipsoid(c0 + frame @ c, 0.5 * (shape + shape.T))
@@ -324,14 +326,7 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     # grows with cond X, so the certificate is checked there too
     if max(fritz_john_residuals(ell, contacts, lam).values()) > 1e-8:
         raise Unconverged("mvie stopped short of the Fritz John system")
-    if contacts.shape[0] > n * (n + 3) // 2:
-        # nearly parallel facets can all activate (tangency along a smooth
-        # patch); NNLS picks a sparse multiplier vertex within John's bound
-        lam = recover_multipliers(ell, contacts)
-        keep = lam > 1e-10
-        contacts, lam = contacts[keep], lam[keep]
-    cert = ContactCertificate(contacts, lam, "ie")
-    return ell, cert
+    return ell, _certificate(ell, contacts, lam, "ie")
 
 
 # ---------------------------------------------------------------------------

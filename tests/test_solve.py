@@ -26,6 +26,8 @@ from extremal_ellipsoids import (
     map_ellipsoid,
     mvee_points,
     mvie_polytope,
+    named_group,
+    orbit,
     polar,
     unit_ball_volume,
     volume,
@@ -135,6 +137,13 @@ def test_mvee_rejects_flat_input():
         mvee_points(line)
 
 
+def test_mvee_starts_when_the_extreme_points_are_collinear():
+    # both axes' extremes are (0, 0) and (2, 2), a singular design
+    pts = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 0.5], [1.5, 1.2]])
+    e, _ = mvee_points(pts)
+    assert certify_ce(pts, e, tol=1e-8).passed
+
+
 def test_mvee_budget_exhaustion_raises():
     rng = np.random.default_rng(14)
     pts = rng.standard_normal((50, 3))
@@ -155,6 +164,57 @@ def test_mvee_duality_roundtrip():
     ball, _ = mvie_polytope(dual, SolverConfig(eps=1e-9))
     assert np.max(np.abs(ball.center)) <= 1e-5
     assert np.max(np.abs(ball.shape - np.eye(2))) <= 1e-5
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_mvee_high_dimensional_cloud_certifies_within_a_step_budget(n):
+    # seed 0 takes 1964 steps at n = 10 and 3892 at n = 20; over seeds
+    # 0-19 the counts run 909-5199 and 2433-4016
+    pts = np.random.default_rng(0).standard_normal((2000, n))
+    e, cert = mvee_points(pts, SolverConfig(max_iter=4000))
+    result = certify_ce(pts, e, tol=1e-8)
+    assert result.passed, result.residuals
+    assert cert.contacts.shape[0] <= n * (n + 3) // 2
+
+
+@pytest.mark.parametrize("name, dim, order", [
+    ("signed-permutation", 2, None),
+    ("signed-permutation", 3, None),
+    ("dihedral", 2, 6),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mvee_orbit_images_are_solved_at_the_start(name, dim, order, seed):
+    # uniform weights are optimal on an orbit, so the start already stops;
+    # the answer is the image of the ball of radius |x|
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 1.5, dim) * rng.choice([-1.0, 1.0], dim)
+    t = AffineMap(rng.standard_normal((dim, dim)) + 2.0 * np.eye(dim),
+                  rng.uniform(-1.0, 1.0, dim))
+    pts = t(np.array(orbit(named_group(name, n=dim, order=order), x)))
+    e, _ = mvee_points(pts, SolverConfig(max_iter=5))
+    result = certify_ce(pts, e, tol=1e-8)
+    assert result.passed, result.residuals
+    known = map_ellipsoid(t, Ellipsoid(np.zeros(dim), np.eye(dim) / (x @ x)))
+    np.testing.assert_allclose(e.shape, known.shape,
+                               rtol=0, atol=1e-10 * np.abs(known.shape).max())
+    np.testing.assert_allclose(e.center, known.center, atol=1e-10)
+
+
+def test_mvee_builds_no_convex_hull(monkeypatch):
+    import scipy.spatial
+
+    calls = []
+    hull = scipy.spatial.ConvexHull
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hull(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
+    pts = np.random.default_rng(16).standard_normal((100, 3))
+    e, _ = mvee_points(pts)
+    assert certify_ce(pts, e, tol=1e-8).passed
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
