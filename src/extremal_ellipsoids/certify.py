@@ -9,6 +9,16 @@ u_i on the boundary of both K and E and multipliers lambda_i >= 0 with
 
 (taking traces gives sum lambda_i = n).  These conditions are sufficient,
 so a passing certificate establishes optimality, not just feasibility.
+
+``certify_ce`` and ``certify_ie`` take one path.  The candidate contacts
+are a CE body's points whose quadratic form reaches 1 - sqrt(tol), or the
+support points (``core.support_points``) of an IE body's facets that lie
+within sqrt(tol) of the ellipsoid.  NNLS fits their multipliers, and
+``pruned_certificate`` drops those at most MULTIPLIER_PRUNE, as it does
+for the solvers.  A pass needs feasibility and matrix_eq <= tol,
+centroid_eq and multiplier_sum <= n tol and contact_membership <=
+sqrt(tol); in the input coordinates these residuals round to about
+cond(X) eps even at the optimum.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ellipsoid, Polytope, symmetric_roots, unit_ball
+from .core import (Ellipsoid, Polytope, support_points, symmetric_roots,
+                   unit_ball)
 from .errors import NotNonnegative, NotOptimal
 
 MULTIPLIER_PRUNE = 1e-10
@@ -111,7 +122,9 @@ def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:
 
 def fritz_john_residuals(e: Ellipsoid, contacts: np.ndarray,
                          multipliers: np.ndarray) -> dict:
-    """Residuals of the two Fritz John equations plus the trace identity."""
+    """Residuals of the two Fritz John equations plus the trace identity,
+    in the input coordinates: even the exact optimum rounds to about
+    cond(X) eps there, whatever frame the sums are formed in."""
     diff = np.atleast_2d(contacts) - e.center
     lam = np.asarray(multipliers, dtype=float)
     x_inv = np.linalg.inv(e.shape)
@@ -131,41 +144,63 @@ def _body_points(body) -> np.ndarray:
     return np.atleast_2d(np.asarray(body, dtype=float))
 
 
+def pruned_certificate(e: Ellipsoid, contacts: np.ndarray,
+                       lam: np.ndarray, kind: str) -> ContactCertificate | None:
+    """The contacts whose multipliers exceed MULTIPLIER_PRUNE, or None when
+    none does.  A support longer than John's bound n(n+3)/2 (many nearly
+    parallel facets or cospherical points) gets a basic multiplier set by
+    NNLS."""
+    keep = lam > MULTIPLIER_PRUNE
+    contacts, lam = contacts[keep], lam[keep]
+    if contacts.shape[0] > e.dim * (e.dim + 3) // 2:
+        lam = recover_multipliers(e, contacts)
+        keep = lam > MULTIPLIER_PRUNE
+        contacts, lam = contacts[keep], lam[keep]
+    if lam.size == 0:
+        return None
+    return ContactCertificate(contacts, lam, kind)
+
+
+def _fritz_john_check(e: Ellipsoid, candidates: np.ndarray,
+                      feasibility: float, kind: str, tol: float):
+    """(passed, residuals, certificate) from the candidate contacts and the
+    body's feasibility residual.  Without a contact that keeps a multiplier
+    the certificate is None and the other residuals are inf."""
+    residuals = dict.fromkeys(("matrix_eq", "centroid_eq", "multiplier_sum",
+                               "contact_membership"), math.inf)
+    residuals["feasibility"] = feasibility
+    cert = None
+    if candidates.shape[0]:
+        cert = pruned_certificate(e, candidates,
+                                  recover_multipliers(e, candidates), kind)
+    if cert is None:
+        return False, residuals, None
+    residuals.update(fritz_john_residuals(e, cert.contacts, cert.multipliers))
+    residuals["contact_membership"] = float(
+        np.max(np.abs(e.quadratic_form(cert.contacts) - 1.0)))
+    return _within_tolerances(residuals, e.dim, tol), residuals, cert
+
+
 def certify_ce(body, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
     """Certify E as the minimum-volume ellipsoid circumscribing the body.
 
     The body is a V-polytope or a sampled boundary (stack of points).
     Contact candidates are the points whose quadratic form reaches
     1 - sqrt(tol); form error is second order in boundary displacement,
-    hence the square root.
+    hence the square root.  A failed check names the point of largest
+    form, or the first candidate when every multiplier was pruned.
     """
     pts = _body_points(body)
     forms = e.quadratic_form(pts)
-    feasibility = float(max(forms.max() - 1.0, 0.0))
-    mask = forms >= 1.0 - math.sqrt(tol)
-    residuals = {
-        "matrix_eq": math.inf,
-        "centroid_eq": math.inf,
-        "multiplier_sum": math.inf,
-        "contact_membership": math.inf,
-        "feasibility": feasibility,
-    }
-    if not mask.any():
-        return CertResult(False, residuals, None, pts[int(np.argmax(forms))])
-
-    contacts = pts[mask]
-    lam = recover_multipliers(e, contacts)
-    keep = lam > MULTIPLIER_PRUNE
-    if not keep.any():
-        return CertResult(False, residuals, None, contacts[0])
-    contacts, lam = contacts[keep], lam[keep]
-
-    residuals.update(fritz_john_residuals(e, contacts, lam))
-    residuals["contact_membership"] = float(
-        np.max(np.abs(e.quadratic_form(contacts) - 1.0)))
-    cert = ContactCertificate(contacts, lam, "ce")
-    passed = _within_tolerances(residuals, e.dim, tol)
-    worst = pts[int(np.argmax(forms))] if not passed else None
+    candidates = pts[forms >= 1.0 - math.sqrt(tol)]
+    passed, residuals, cert = _fritz_john_check(
+        e, candidates, float(max(forms.max() - 1.0, 0.0)), "ce", tol)
+    if passed:
+        worst = None
+    elif cert is None and candidates.shape[0]:
+        worst = candidates[0]
+    else:
+        worst = pts[int(np.argmax(forms))]
     return CertResult(passed, residuals, cert, worst)
 
 
@@ -173,45 +208,17 @@ def certify_ie(body: Polytope, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
     """Certify E as the maximum-volume ellipsoid inscribed in an H-polytope.
 
     Feasibility is the per-facet support inequality
-    <c, a_i> + <X^(-1) a_i, a_i>^(1/2) <= b_i; contacts are the tangency
-    points of the active facets.
+    <c, a_i> + <X^(-1) a_i, a_i>^(1/2) <= b_i on unit normals; contacts
+    are the tangency points of the facets within sqrt(tol) of it.
     """
     if not isinstance(body, Polytope) or body.is_vform:
         raise NotOptimal("inscription certificates need an H-form polytope")
     scale = np.linalg.norm(body.normals, axis=1)
-    a_hat = body.normals / scale[:, None]
-    b_hat = body.offsets / scale
-
-    x_inv = np.linalg.inv(e.shape)
-    ya = a_hat @ x_inv  # rows X^(-1) a_i
-    s = np.sqrt(np.einsum("ij,ij->i", ya, a_hat))
-    support = a_hat @ e.center + s
-    gaps = b_hat - support
-    feasibility = float(max(-gaps.min(), 0.0))
-
-    active = gaps <= math.sqrt(tol)
-    residuals = {
-        "matrix_eq": math.inf,
-        "centroid_eq": math.inf,
-        "multiplier_sum": math.inf,
-        "contact_membership": math.inf,
-        "feasibility": feasibility,
-    }
-    if not active.any():
-        return CertResult(False, residuals, None, None)
-
-    contacts = e.center + ya[active] / s[active, None]
-    lam = recover_multipliers(e, contacts)
-    keep = lam > MULTIPLIER_PRUNE
-    if not keep.any():
-        return CertResult(False, residuals, None, None)
-    contacts, lam = contacts[keep], lam[keep]
-
-    residuals.update(fritz_john_residuals(e, contacts, lam))
-    residuals["contact_membership"] = float(
-        np.max(np.abs(e.quadratic_form(contacts) - 1.0)))
-    cert = ContactCertificate(contacts, lam, "ie")
-    passed = _within_tolerances(residuals, e.dim, tol)
+    support, points = support_points(e, body.normals / scale[:, None])
+    gaps = body.offsets / scale - support
+    passed, residuals, cert = _fritz_john_check(
+        e, points[gaps <= math.sqrt(tol)], float(max(-gaps.min(), 0.0)),
+        "ie", tol)
     return CertResult(passed, residuals, cert, None)
 
 
@@ -250,12 +257,11 @@ def john_factors(body, e: Ellipsoid, kind: str, symmetric: bool,
             hull = ConvexHull(pts)
             normals = hull.equations[:, :-1]
             offsets = -hull.equations[:, -1]
-        x_inv = np.linalg.inv(shrunk.shape)
-        s = np.sqrt(np.einsum("ij,jk,ik->i", normals, x_inv, normals))
-        viol = normals @ shrunk.center + s - offsets
+        support, points = support_points(shrunk, normals)
+        viol = support - offsets
         worst = int(np.argmax(viol))
         residual = float(max(viol[worst], 0.0) / np.linalg.norm(normals[worst]))
-        point = shrunk.center + (x_inv @ normals[worst]) / s[worst]
+        point = points[worst]
     elif kind == "ie":
         blown = _scaled(e, factor)
         if isinstance(body, Polytope) and not body.is_vform:

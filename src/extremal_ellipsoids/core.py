@@ -128,14 +128,22 @@ def factor_volume(lower: np.ndarray) -> float:
     return math.exp(-log_det_root) * unit_ball_volume(lower.shape[0])
 
 
+def support_points(e: Ellipsoid, normals) -> tuple[np.ndarray, np.ndarray]:
+    """Support values <c, a_i> + <X^(-1) a_i, a_i>^(1/2) for the rows a_i
+    of ``normals``, and the points c + X^(-1) a_i / <X^(-1) a_i, a_i>^(1/2)
+    of E where they are attained."""
+    a = np.atleast_2d(np.asarray(normals, dtype=float))
+    ya = a @ np.linalg.inv(e.shape)  # rows X^(-1) a_i
+    s = np.sqrt(np.einsum("ij,ij->i", ya, a))
+    return a @ e.center + s, e.center + ya / s[:, None]
+
+
 def support_function(e: Ellipsoid, d) -> float:
     """s_E(d) = <c, d> + <X^(-1) d, d>^(1/2)."""
     d = np.asarray(d, dtype=float)
     if not np.linalg.norm(d) > 0.0:
         raise InvalidDirection("support direction must be nonzero")
-    lower = cholesky_spd(e.shape)
-    z = np.linalg.solve(lower, d)  # z = L^-1 d, so |z|^2 = d^T X^-1 d
-    return float(e.center @ d + math.sqrt(z @ z))
+    return float(support_points(e, d)[0][0])
 
 
 def contains(e: Ellipsoid, x, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (MULTIPLIER_PRUNE, ContactCertificate,
-                      fritz_john_residuals, recover_multipliers)
+from .certify import fritz_john_residuals, pruned_certificate
 from .core import Ellipsoid, Polytope, chebyshev_center, polytope_is_bounded
 from .errors import DegenerateInput, InvalidBody, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
@@ -50,20 +49,6 @@ class SolverConfig:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-def _certificate(ell: Ellipsoid, contacts: np.ndarray, lam: np.ndarray,
-                 kind: str) -> ContactCertificate:
-    """The contacts with multipliers above MULTIPLIER_PRUNE; a support
-    longer than John's bound n(n+3)/2 gets a basic multiplier set by NNLS."""
-    keep = lam > MULTIPLIER_PRUNE
-    contacts, lam = contacts[keep], lam[keep]
-    if contacts.shape[0] > ell.dim * (ell.dim + 3) // 2:
-        # e.g. many nearly parallel facets or cospherical points are active
-        lam = recover_multipliers(ell, contacts)
-        keep = lam > MULTIPLIER_PRUNE
-        contacts, lam = contacts[keep], lam[keep]
-    return ContactCertificate(contacts, lam, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +173,7 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     cov = (centered.T * w) @ centered
     shape = np.linalg.inv(cov) / n
     ell = Ellipsoid(center, 0.5 * (shape + shape.T))
-    return ell, _certificate(ell, pts, n * w, "ce")
+    return ell, pruned_certificate(ell, pts, n * w, "ce")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +311,7 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     # grows with cond X, so the certificate is checked there too
     if max(fritz_john_residuals(ell, contacts, lam).values()) > 1e-8:
         raise Unconverged("mvie stopped short of the Fritz John system")
-    return ell, _certificate(ell, contacts, lam, "ie")
+    return ell, pruned_certificate(ell, contacts, lam, "ie")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,13 @@ class FiniteGroup:
     ``form`` optionally supplies an SPD matrix whose square root conjugates
     the linear parts to orthogonal ones; without it the linear parts must be
     orthogonal as given.  Closure, inverses, and the identity are verified
-    eagerly since everything downstream relies on them.
+    eagerly since everything downstream relies on them; ``identity_index``
+    is the first element within _CLOSURE_TOL of the identity map.
     """
 
     elements: tuple
-    identity_index: int
     form: np.ndarray | None = None
+    identity_index: int = field(init=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -66,18 +67,18 @@ class FiniteGroup:
             if np.max(np.abs(conj.T @ conj - eye)) > _CLOSURE_TOL:
                 raise ValueError("group element is not an isometry")
 
-        if not (0 <= self.identity_index < len(elements)):
-            raise ValueError("identity index out of range")
-        ident = elements[self.identity_index]
-        if (np.max(np.abs(ident.linear - eye)) > _CLOSURE_TOL
-                or np.max(np.abs(ident.offset)) > _CLOSURE_TOL):
+        # the identity, every product and every inverse must be elements,
+        # up to _CLOSURE_TOL in the max-norm over linear part and offset
+        flat = _flatten(elements)
+        unit = np.concatenate([eye.ravel(), np.zeros(n)])
+        ident = np.flatnonzero(np.max(np.abs(flat - unit), axis=1)
+                               <= _CLOSURE_TOL)
+        if ident.size == 0:
             raise ValueError("identity element missing")
+        object.__setattr__(self, "identity_index", int(ident[0]))
 
         from scipy.spatial import cKDTree
 
-        # every product and every inverse must be an element, up to
-        # _CLOSURE_TOL in the max-norm over linear part and offset
-        flat = _flatten(elements)
         tree = cKDTree(flat)
         linears = np.array([g.linear for g in elements])
         offsets = np.array([g.offset for g in elements])
@@ -164,12 +165,8 @@ def check_invariant_ellipsoid(group: FiniteGroup, e: Ellipsoid,
 # Built-in groups.
 
 def _linear_group(matrices) -> FiniteGroup:
-    n = matrices[0].shape[0]
-    zero = np.zeros(n)
-    maps = tuple(AffineMap(m, zero) for m in matrices)
-    ident = next(i for i, m in enumerate(matrices)
-                 if np.array_equal(m, np.eye(n)))
-    return FiniteGroup(maps, ident)
+    zero = np.zeros(matrices[0].shape[0])
+    return FiniteGroup(tuple(AffineMap(m, zero) for m in matrices))
 
 
 def permutation_group(n: int) -> FiniteGroup:
@@ -264,15 +261,7 @@ def group_to_dict(group: FiniteGroup) -> dict:
 
 
 def group_from_dict(payload: dict) -> FiniteGroup:
-    elements = []
-    ident = None
-    for i, item in enumerate(payload["elements"]):
-        g = AffineMap(np.asarray(item["linear"], dtype=float),
-                      np.asarray(item["offset"], dtype=float))
-        elements.append(g)
-        if ident is None and np.max(np.abs(g.linear - np.eye(g.dim))) < 1e-12 \
-                and np.max(np.abs(g.offset)) < 1e-12:
-            ident = i
-    if ident is None:
-        raise ValueError("serialized group lacks an identity element")
-    return FiniteGroup(tuple(elements), ident)
+    return FiniteGroup(tuple(
+        AffineMap(np.asarray(item["linear"], dtype=float),
+                  np.asarray(item["offset"], dtype=float))
+        for item in payload["elements"]))

@@ -112,6 +112,20 @@ def test_certify_ce_reports_feasibility_violation():
     assert result.residuals["feasibility"] == pytest.approx(1.0)
 
 
+def test_certify_ce_fails_when_every_multiplier_is_pruned():
+    # the far point is the only candidate contact, and NNLS gives it a
+    # multiplier of 1e-12, below the pruning threshold
+    pts = np.array([[1e6, 0.0], [0.0, 0.0], [0.0, 0.5]])
+    result = certify_ce(pts, unit_ball(2))
+    assert not result.passed
+    assert result.certificate is None
+    for key in ("matrix_eq", "centroid_eq", "multiplier_sum",
+                "contact_membership"):
+        assert math.isinf(result.residuals[key])
+    assert result.residuals["feasibility"] == pytest.approx(1e12)
+    np.testing.assert_array_equal(result.worst_point, [1e6, 0.0])
+
+
 def test_certify_ce_rejects_halfspace_bodies():
     h = Polytope(normals=np.eye(2), offsets=np.ones(2))
     with pytest.raises(NotOptimal):

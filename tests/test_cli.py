@@ -287,6 +287,57 @@ def test_certify_input_validation(capsys, tmp_path):
     assert (code, out["error"]["code"]) == (2, "dimension-mismatch")
 
 
+SQUARE_CE_PASS = (
+    '{"contacts": [[1, 1], [1, -1], [-1, 1], [-1, -1]], "multipliers": '
+    '[0.49999999999999983, 0.49999999999999989, 0.5, 0.50000000000000011], '
+    '"passed": true, "residuals": {"centroid_eq": 2.7755575615628914e-16, '
+    '"contact_membership": 0, "feasibility": 0, '
+    '"matrix_eq": 5.5511151231257827e-17, "multiplier_sum": 0}}')
+
+
+def _no_certificate(feasibility):
+    return ('{"contacts": [], "multipliers": [], "passed": false, '
+            '"residuals": {"centroid_eq": Infinity, "contact_membership": '
+            f'Infinity, "feasibility": {feasibility}, "matrix_eq": Infinity, '
+            '"multiplier_sum": Infinity}}\n')
+
+
+@pytest.mark.parametrize("payload,expected", [
+    ({"kind": "ce", "points": SQUARE_POINTS,
+      "ellipsoid": {"center": [0, 0], "shape": [[0.5, 0], [0, 0.5]]}},
+     SQUARE_CE_PASS + "\n"),
+    ({"kind": "ce", "points": SQUARE_POINTS,
+      "ellipsoid": {"center": [0, 0], "shape": [[0.1, 0], [0, 0.1]]}},
+     _no_certificate("0")),
+    # one candidate contact, whose multiplier 1e-12 is pruned
+    ({"kind": "ce", "points": [[1e6, 0.0], [0.0, 0.0], [0.0, 0.5]],
+      "ellipsoid": {"center": [0, 0], "shape": [[1, 0], [0, 1]]}},
+     _no_certificate("999999999999")),
+    ({"kind": "ie", **BOX_HALFSPACES,
+      "ellipsoid": {"center": [0, 0], "shape": [[1, 0], [0, 1]]}},
+     '{"contacts": [[1, 0], [-1, 0], [0, 1], [0, -1]], "multipliers": '
+     '[0.50000000000000022, 0.5, 0.49999999999999983, 0.49999999999999978], '
+     '"passed": true, "residuals": {"centroid_eq": 2.2887833992611187e-16, '
+     '"contact_membership": 0, "feasibility": -0, '
+     '"matrix_eq": 3.5108334685767007e-16, '
+     '"multiplier_sum": 2.2204460492503131e-16}}\n'),
+    # radius 1/2 in the unit box: no facet is active
+    ({"kind": "ie", **BOX_HALFSPACES,
+      "ellipsoid": {"center": [0, 0], "shape": [[4, 0], [0, 4]]}},
+     _no_certificate("0")),
+], ids=["ce-pass", "ce-fail", "ce-all-pruned", "ie-pass", "ie-no-facet"])
+def test_certify_output_bytes(capsys, tmp_path, payload, expected):
+    path = write_json(tmp_path, "cert.json", payload)
+    assert run(capsys, "certify", "--input", path) == (0, expected)
+
+
+def test_mvee_square_output_bytes(capsys, tmp_path):
+    path = write_json(tmp_path, "pts.json", {"points": SQUARE_POINTS})
+    expected = ('{"certificate": ' + SQUARE_CE_PASS + ', "ellipsoid": '
+                '{"center": [0, 0], "dim": 2, "shape": [[0.5, 0], [0, 0.5]]}}\n')
+    assert run(capsys, "mvee", "--input", path) == (0, expected)
+
+
 # ---------------------------------------------------------------------------
 # Cutting loop.
 

@@ -38,32 +38,30 @@ def _rotation(t: float) -> np.ndarray:
 
 def test_group_rejects_empty_and_mixed_dimensions():
     with pytest.raises(ValueError):
-        FiniteGroup((), 0)
+        FiniteGroup(())
     mixed = (AffineMap(np.eye(2), np.zeros(2)),
              AffineMap(np.eye(3), np.zeros(3)))
     with pytest.raises(ValueError):
-        FiniteGroup(mixed, 0)
+        FiniteGroup(mixed)
 
 
 def test_group_rejects_non_isometry():
     stretch = AffineMap(np.diag([2.0, 1.0]), np.zeros(2))
     with pytest.raises(ValueError, match="isometry"):
-        FiniteGroup((AffineMap(np.eye(2), np.zeros(2)), stretch), 0)
+        FiniteGroup((AffineMap(np.eye(2), np.zeros(2)), stretch))
 
 
 def test_group_rejects_missing_identity():
     quarter = AffineMap(_rotation(math.pi / 2.0), np.zeros(2))
     half = AffineMap(_rotation(math.pi), np.zeros(2))
     with pytest.raises(ValueError, match="identity"):
-        FiniteGroup((quarter, half), 0)
-    with pytest.raises(ValueError, match="identity index"):
-        FiniteGroup((AffineMap(np.eye(2), np.zeros(2)),), 3)
+        FiniteGroup((quarter, half))
 
 
 def test_group_rejects_open_composition():
     third = AffineMap(_rotation(2.0 * math.pi / 3.0), np.zeros(2))
     with pytest.raises(ValueError, match="closed"):
-        FiniteGroup((AffineMap(np.eye(2), np.zeros(2)), third), 0)
+        FiniteGroup((AffineMap(np.eye(2), np.zeros(2)), third))
 
 
 def test_group_accepts_isometries_of_a_quadratic_form():
@@ -74,11 +72,11 @@ def test_group_accepts_isometries_of_a_quadratic_form():
     mats[0] = np.eye(2)
     maps = tuple(AffineMap(m, np.zeros(2)) for m in mats)
     with pytest.raises(ValueError, match="isometry"):
-        FiniteGroup(maps, 0)
-    g = FiniteGroup(maps, 0, form=np.diag([4.0, 1.0]))
+        FiniteGroup(maps)
+    g = FiniteGroup(maps, form=np.diag([4.0, 1.0]))
     assert len(g) == 4 and g.dim == 2
     with pytest.raises(ValueError, match="positive definite"):
-        FiniteGroup(maps, 0, form=np.diag([4.0, -1.0]))
+        FiniteGroup(maps, form=np.diag([4.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,7 @@ def test_invariant_center_of_shifted_group():
     base = signed_permutation_group(2)
     maps = tuple(AffineMap(g.linear, (np.eye(2) - g.linear) @ c0)
                  for g in base)
-    grp = FiniteGroup(maps, base.identity_index)
+    grp = FiniteGroup(maps)
     c = invariant_center(grp, [7.0, 2.0])
     np.testing.assert_allclose(c, c0, atol=1e-12)
     for g in grp:
@@ -151,7 +149,7 @@ def test_invariant_shape_respects_quadratic_form():
     root, root_inv = np.diag([2.0, 1.0]), np.diag([0.5, 1.0])
     mats = [root_inv @ _rotation(k * math.pi / 2.0) @ root for k in range(4)]
     mats[0] = np.eye(2)
-    grp = FiniteGroup(tuple(AffineMap(m, np.zeros(2)) for m in mats), 0,
+    grp = FiniteGroup(tuple(AffineMap(m, np.zeros(2)) for m in mats),
                       form=np.diag([4.0, 1.0]))
     shape = invariant_shape(grp, [1.0, 0.0], np.zeros(2))
     np.testing.assert_allclose(shape, np.diag([1.0, 0.25]), atol=1e-12)
