@@ -21,7 +21,7 @@ from .core import (Ellipsoid, Polytope, chebyshev_center, ellipsoid_from_dict,
 from .cutting import FeasibilityProblem, solve_feasibility
 from .errors import ExtremalEllipsoidError, Unconverged
 from .slab import (AxialEllipsoidParams, SlabSpec, ce_cone, ce_slab,
-                   ce_contact_points, cone_contact_points, ie_slab)
+                   ce_contact_points, cone_contact_points, ie_slab, oriented)
 from .solve import SolverConfig, grid_oracle_slab, mvee_points, mvie_polytope
 from .symmetry import (check_invariant_ellipsoid, group_from_dict,
                        invariant_center, invariant_shape, named_group, orbit)
@@ -142,13 +142,6 @@ def _polytope_from(payload: dict) -> Polytope:
     return Polytope(normals=normals, offsets=offsets)
 
 
-def _slab_spec(args) -> tuple[SlabSpec, bool]:
-    """SlabSpec honoring the reflection convention; True when reflected."""
-    if args.beta ** 2 < args.alpha ** 2:
-        return SlabSpec(args.dim, -args.beta, -args.alpha, reflected=True), True
-    return SlabSpec(args.dim, args.alpha, args.beta), False
-
-
 # ---------------------------------------------------------------------------
 # Plot emission (2-D only).
 
@@ -227,26 +220,18 @@ def _require_2d(dim: int) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def _reflect_x1(points: np.ndarray, flip: bool) -> np.ndarray:
-    if not flip or points.size == 0:
-        return points
-    out = points.copy()
-    out[:, 0] = -out[:, 0]
-    return out
-
-
 def _cmd_axial(args, problem: str):
-    spec, flip = _slab_spec(args)
+    spec, sign = oriented(args.dim, args.alpha, args.beta)
     solver = {"CE": ce_slab, "IE": ie_slab, "CONE": ce_cone}[problem]
     params = solver(spec)
-    tau_out = -params.tau if flip else params.tau
+    tau_out = sign * params.tau
     out = {"tau": tau_out, "a": params.a, "b": params.b, "case": params.case}
 
     if args.oracle:
         ref = grid_oracle_slab(spec, problem, resolution=args.resolution)
         disc = max(abs(ref.tau - params.tau), abs(ref.a - params.a),
                    abs(ref.b - params.b))
-        out["oracle"] = {"tau": -ref.tau if flip else ref.tau,
+        out["oracle"] = {"tau": sign * ref.tau,
                          "a": ref.a, "b": ref.b}
         out["discrepancy"] = disc
 
@@ -257,13 +242,9 @@ def _cmd_axial(args, problem: str):
         ell = AxialEllipsoidParams(tau_out, params.a, params.b, params.n,
                                    params.form, params.case).expand()
         ellipse = _ellipse_outline(ell, _PLOT_SAMPLES)
-        if problem == "CE":
-            contacts = _reflect_x1(ce_contact_points(spec, params), flip)
-        elif problem == "CONE":
-            contacts = _reflect_x1(cone_contact_points(spec, params), flip)
-        else:
-            contacts = _reflect_x1(_ie_contacts_2d(spec, params), flip)
-        _write_plot(args.plot, outline, ellipse, contacts)
+        contacts = {"CE": ce_contact_points, "IE": _ie_contacts_2d,
+                    "CONE": cone_contact_points}[problem](spec, params)
+        _write_plot(args.plot, outline, ellipse, contacts * [sign, 1.0])
     return out
 
 
@@ -410,11 +391,10 @@ def _cmd_symmetry(args):
 
 
 def _cmd_oracle(args):
-    spec, flip = _slab_spec(args)
+    spec, sign = oriented(args.dim, args.alpha, args.beta)
     params = grid_oracle_slab(spec, args.problem.upper(),
                               resolution=args.resolution)
-    tau_out = -params.tau if flip else params.tau
-    return {"tau": tau_out, "a": params.a, "b": params.b,
+    return {"tau": sign * params.tau, "a": params.a, "b": params.b,
             "case": params.case}
 
 

@@ -24,7 +24,6 @@ from .errors import (
 # Default tolerances; certification code overrides them explicitly.
 SYMMETRY_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
-ROUNDTRIP_TOL = 1e-10
 
 
 def unit_ball_volume(n: int) -> float:

@@ -19,7 +19,7 @@ from scipy.linalg import solve_triangular
 
 from .core import Ellipsoid, factor_volume, volume
 from .errors import EmptySlab
-from .slab import SlabSpec, ce_slab
+from .slab import ce_slab, oriented
 
 _NOOP_TOL = 1e-15
 
@@ -109,10 +109,7 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
                                vol_before, vol_before, 1.0)
         return e, record
 
-    if beta ** 2 < alpha ** 2:  # the convention beta^2 >= alpha^2 holds along -p
-        sign, spec = -1.0, SlabSpec(n, -beta, -alpha)
-    else:
-        sign, spec = 1.0, SlabSpec(n, alpha, beta)
+    spec, sign = oriented(n, alpha, beta)  # sign -1.0: solve along -p
     params = ce_slab(spec)
     direction = solve_triangular(lower.T, w, lower=False) / g  # X^-1 p / g
     shape = params.b * e.shape + (params.a - params.b) * np.outer(p, p) / g ** 2

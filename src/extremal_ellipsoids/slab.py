@@ -50,6 +50,17 @@ class SlabSpec:
             raise ValueError("convention beta^2 >= alpha^2 violated; reflect first")
 
 
+def oriented(n: int, alpha: float, beta: float) -> tuple[SlabSpec, float]:
+    """SlabSpec of [alpha, beta] under the convention beta^2 >= alpha^2.
+
+    Returns ``(spec, sign)``: sign is 1.0 when the convention holds, else
+    -1.0 and spec is the reflected slab [-beta, -alpha] along -e_1.
+    """
+    if beta ** 2 < alpha ** 2:
+        return SlabSpec(n, -beta, -alpha, reflected=True), -1.0
+    return SlabSpec(n, alpha, beta), 1.0
+
+
 @dataclass(frozen=True)
 class AxialEllipsoidParams:
     """Axial ellipsoid E = E(diag(a, b, ..., b), tau * e_1).
@@ -150,12 +161,8 @@ def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
         qmat = np.eye(n)
 
     linear = inv_root @ qmat
-    reflected = beta ** 2 < alpha ** 2
-    if reflected:
-        alpha, beta = -beta, -alpha
-        linear = linear.copy()
-        linear[:, 0] = -linear[:, 0]
-    spec = SlabSpec(n, alpha, beta, reflected)
+    spec, sign = oriented(n, alpha, beta)
+    linear[:, 0] *= sign
     return spec, AffineMap(linear, g.center0)
 
 

@@ -23,11 +23,6 @@ _ORBIT_TOL = 1e-9
 _INVARIANCE_TOL = 1e-9
 
 
-def _flatten(maps) -> np.ndarray:
-    return np.array([np.concatenate([g.linear.ravel(), g.offset])
-                     for g in maps])
-
-
 @dataclass(frozen=True)
 class FiniteGroup:
     """Finite collection of affine isometries, closed under the group laws.
@@ -37,11 +32,22 @@ class FiniteGroup:
     orthogonal as given.  Closure, inverses, and the identity are verified
     eagerly since everything downstream relies on them; ``identity_index``
     is the first element within _CLOSURE_TOL of the identity map.
+
+    Closure is checked on generators: the first element not yet reached
+    from the identity becomes a generator t, one k-d tree query looks up
+    every product g o t, and right multiplication by the generators so far
+    extends the reached set.  A set with the identity and G o t in G for
+    each t of a generating set T is a group, and each new generator at
+    least doubles the reached subgroup, so the check costs at most
+    ceil(log2 |G|) queries of |G| products, plus one for the inverses.
+    ``linears`` (|G|, n, n) and ``offsets`` (|G|, n) stack the elements.
     """
 
     elements: tuple
     form: np.ndarray | None = None
     identity_index: int = field(init=False)
+    linears: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -51,6 +57,12 @@ class FiniteGroup:
         n = elements[0].dim
         if any(g.dim != n for g in elements):
             raise ValueError("group elements must share one dimension")
+        linears = np.array([g.linear for g in elements])
+        offsets = np.array([g.offset for g in elements])
+        linears.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "linears", linears)
+        object.__setattr__(self, "offsets", offsets)
 
         if self.form is not None:
             form = np.asarray(self.form, dtype=float)
@@ -61,16 +73,16 @@ class FiniteGroup:
             root, root_inv = symmetric_roots(form)
         else:
             root = root_inv = np.eye(n)
-        eye = np.eye(n)
-        for g in elements:
-            conj = root @ g.linear @ root_inv
-            if np.max(np.abs(conj.T @ conj - eye)) > _CLOSURE_TOL:
-                raise ValueError("group element is not an isometry")
+        conj = root @ linears @ root_inv
+        if np.max(np.abs(conj.transpose(0, 2, 1) @ conj - np.eye(n))) \
+                > _CLOSURE_TOL:
+            raise ValueError("group element is not an isometry")
 
         # the identity, every product and every inverse must be elements,
         # up to _CLOSURE_TOL in the max-norm over linear part and offset
-        flat = _flatten(elements)
-        unit = np.concatenate([eye.ravel(), np.zeros(n)])
+        order = len(elements)
+        flat = np.hstack([linears.reshape(order, -1), offsets])
+        unit = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
         ident = np.flatnonzero(np.max(np.abs(flat - unit), axis=1)
                                <= _CLOSURE_TOL)
         if ident.size == 0:
@@ -80,15 +92,27 @@ class FiniteGroup:
         from scipy.spatial import cKDTree
 
         tree = cKDTree(flat)
-        linears = np.array([g.linear for g in elements])
-        offsets = np.array([g.offset for g in elements])
-        for g in elements:
-            prod_lin = np.einsum("ik,mkj->mij", g.linear, linears)
-            prod_off = g.offset + offsets @ g.linear.T
-            prod = np.hstack([prod_lin.reshape(len(elements), -1), prod_off])
-            if np.any(tree.query(prod, p=np.inf)[0] > _CLOSURE_TOL):
+        reached = np.zeros(order, dtype=bool)
+        reached[self.identity_index] = True
+        right = []  # right[k][i]: index of the element (element i) o t_k
+        while not reached.all():
+            t = int(np.argmin(reached))
+            prod = np.hstack([(linears @ linears[t]).reshape(order, -1),
+                              offsets + linears @ offsets[t]])
+            dist, index = tree.query(prod, p=np.inf)
+            if np.any(dist > _CLOSURE_TOL):
                 raise ValueError("group is not closed under composition")
-        inverses = _flatten(g.inverse() for g in elements)
+            right.append(index)
+            reached[t] = True
+            # close under the generators so far: the subgroup they span
+            size = 0
+            while size < np.count_nonzero(reached):
+                size = np.count_nonzero(reached)
+                for step in right:
+                    reached[step[reached]] = True
+        inv_lin = np.linalg.inv(linears)
+        inverses = np.hstack([inv_lin.reshape(order, -1),
+                              -np.einsum("mij,mj->mi", inv_lin, offsets)])
         if np.any(tree.query(inverses, p=np.inf)[0] > _CLOSURE_TOL):
             raise ValueError("group is not closed under inversion")
 
@@ -103,24 +127,41 @@ class FiniteGroup:
         return iter(self.elements)
 
 
+def _images(group: FiniteGroup, x) -> np.ndarray:
+    """(|G|, n) array whose row k is the k-th element applied to x."""
+    return group.offsets + group.linears @ np.asarray(x, dtype=float)
+
+
 def orbit(group: FiniteGroup, x) -> list:
-    """Deduplicated orbit {g(x) : g in G}; its size divides the group order."""
-    x = np.asarray(x, dtype=float)
-    points: list[np.ndarray] = []
-    for g in group:
-        gx = g(x)
-        if all(np.max(np.abs(gx - p)) > _ORBIT_TOL for p in points):
-            points.append(gx)
-    return points
+    """Deduplicated orbit {g(x) : g in G}; its size divides the group order.
+
+    An image is dropped iff it lies within _ORBIT_TOL (max-norm) of an
+    earlier kept image.  A repeat of an earlier image is always dropped, so
+    only first occurrences are candidates (a point fixed by all of G would
+    otherwise give |G|^2 / 2 near pairs); each round then settles every
+    candidate whose earlier neighbours are settled.
+    """
+    from scipy.spatial import cKDTree
+
+    images = _images(group, x)
+    cand = images[np.sort(np.unique(images, axis=0, return_index=True)[1])]
+    pairs = cKDTree(cand).query_pairs(_ORBIT_TOL, p=np.inf,
+                                      output_type="ndarray")
+    earlier, later = pairs[:, 0], pairs[:, 1]
+    kept = np.zeros(len(cand), dtype=bool)
+    open_ = np.ones(len(cand), dtype=bool)
+    while open_.any():
+        open_[later[kept[earlier]]] = False
+        waiting = np.zeros_like(open_)
+        waiting[later[open_[earlier]]] = True
+        kept |= open_ & ~waiting
+        open_ &= waiting
+    return list(cand[kept])
 
 
 def invariant_center(group: FiniteGroup, x) -> np.ndarray:
     """Group average of x; fixed by every element."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros(group.dim)
-    for g in group:
-        total += g(x)
-    return total / len(group)
+    return _images(group, x).sum(axis=0) / len(group)
 
 
 def invariant_shape(group: FiniteGroup, x, c) -> np.ndarray:
@@ -130,18 +171,12 @@ def invariant_shape(group: FiniteGroup, x, c) -> np.ndarray:
     element holds exactly because left multiplication permutes the terms.
     Raises SingularShape when the orbit fails to span around c.
     """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n = group.dim
-    avg = np.zeros((n, n))
-    for g in group:
-        dev = g(x) - c
-        avg += np.outer(dev, dev)
-    avg /= len(group)
+    dev = _images(group, x) - np.asarray(c, dtype=float)
+    avg = (dev[:, :, None] * dev[:, None, :]).sum(axis=0) / len(group)
     vals = np.linalg.eigvalsh(0.5 * (avg + avg.T))
     if vals[-1] <= 0.0 or vals[0] <= 1e-12 * vals[-1]:
         raise SingularShape("orbit does not span the space around the center")
-    shape = np.linalg.inv(n * avg)
+    shape = np.linalg.inv(group.dim * avg)
     return 0.5 * (shape + shape.T)
 
 
@@ -153,12 +188,12 @@ def check_invariant_ellipsoid(group: FiniteGroup, e: Ellipsoid,
     x = e.shape
     scale_x = np.linalg.norm(x)
     scale_c = 1.0 + float(np.linalg.norm(e.center))
-    for g in group:
-        if np.linalg.norm(g(e.center) - e.center) > tol * scale_c:
-            return False
-        if np.linalg.norm(g.linear.T @ x @ g.linear - x) > tol * scale_x:
-            return False
-    return True
+    moved = np.linalg.norm(_images(group, e.center) - e.center, axis=1)
+    lin = group.linears
+    turned = np.linalg.norm(lin.transpose(0, 2, 1) @ x @ lin - x,
+                            axis=(1, 2))
+    return not (np.any(moved > tol * scale_c)
+                or np.any(turned > tol * scale_x))
 
 
 # ---------------------------------------------------------------------------

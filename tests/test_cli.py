@@ -437,6 +437,93 @@ def test_symmetry_reports_flat_orbits(capsys, tmp_path):
     assert (code, out["error"]["code"]) == (2, "singular-shape")
 
 
+def test_symmetry_at_order_3840(capsys, tmp_path):
+    path = write_json(tmp_path, "sym5.json", {
+        "group": "signed-permutation", "dim": 5,
+        "x": [0.9, 0.7, 0.5, 0.3, 0.1]})
+    code, out = run_json(capsys, "symmetry", "--input", path)
+    assert code == 0
+    assert len(out["orbit"]) == 3840
+    assert out["invariant"] is True
+    assert out["certificate"]["passed"] is True
+
+
+SYMMETRY_NAMED = (
+    '{"center": [0, 0], "certificate": {"contacts": [[0.90000000000000002, '
+    '0.40000000000000002], [-0.90000000000000002, 0.40000000000000002], '
+    '[0.40000000000000002, 0.90000000000000002], [0.40000000000000002, '
+    '-0.90000000000000002], [-0.40000000000000002, -0.90000000000000002]], '
+    '"multipliers": [0.4145299145299145, 0.5854700854700855, '
+    '0.27777777777777779, 0.41452991452991439, 0.30769230769230765], '
+    '"passed": true, "residuals": {"centroid_eq": 1.6843970387660844e-16, '
+    '"contact_membership": 1.1102230246251565e-16, "feasibility": 0, '
+    '"matrix_eq": 1.1760940708540797e-16, "multiplier_sum": '
+    '2.2204460492503131e-16}}, "ellipsoid": {"center": [0, 0], "dim": 2, '
+    '"shape": [[1.0309278350515463, 0], [0, 1.0309278350515463]]}, '
+    '"invariant": true, "orbit": [[0.90000000000000002, '
+    '0.40000000000000002], [0.90000000000000002, -0.40000000000000002], '
+    '[-0.90000000000000002, 0.40000000000000002], [-0.90000000000000002, '
+    '-0.40000000000000002], [0.40000000000000002, 0.90000000000000002], '
+    '[0.40000000000000002, -0.90000000000000002], [-0.40000000000000002, '
+    '0.90000000000000002], [-0.40000000000000002, -0.90000000000000002]]}')
+
+SYMMETRY_EXPLICIT = (
+    '{"center": [-2.9951277046623466e-17, 2.7755575615628914e-17], '
+    '"certificate": {"contacts": [[0.69999999999999996, 0], '
+    '[4.286263797015736e-17, 0.69999999999999996], [-0.69999999999999996, '
+    '8.572527594031472e-17], [-1.2858791391047207e-16, '
+    '-0.69999999999999996]], "multipliers": [0.49999999999999989, '
+    '0.49999999999999989, 0.49999999999999978, 0.50000000000000011], '
+    '"passed": true, "residuals": {"centroid_eq": 7.8504622934188758e-17, '
+    '"contact_membership": 2.2204460492503131e-16, "feasibility": '
+    '2.2204460492503131e-16, "matrix_eq": 1.7912415656003583e-16, '
+    '"multiplier_sum": 4.4408920985006262e-16}}, "ellipsoid": {"center": '
+    '[-2.9951277046623466e-17, 2.7755575615628914e-17], "dim": 2, "shape": '
+    '[[2.0408163265306127, -1.2496395909666874e-16], '
+    '[-1.2496395909666874e-16, 2.0408163265306127]]}, "invariant": true, '
+    '"orbit": [[0.69999999999999996, 0], [4.286263797015736e-17, '
+    '0.69999999999999996], [-0.69999999999999996, 8.572527594031472e-17], '
+    '[-1.2858791391047207e-16, -0.69999999999999996]]}')
+
+SYMMETRY_SHIFTED = (
+    '{"center": [3, -1], "certificate": {"contacts": [[7, 2], [-1, 2], [6, '
+    '-5], [0, 3], [0, -5]], "multipliers": [0.55357142857142838, '
+    '0.44642857142857101, 0.42857142857142849, 0.12500000000000036, '
+    '0.4464285714285714], "passed": true, "residuals": {"centroid_eq": '
+    '2.2204460492503131e-16, "contact_membership": 0, "feasibility": 0, '
+    '"matrix_eq": 2.0867467974864571e-16, "multiplier_sum": '
+    '2.2204460492503131e-16}}, "ellipsoid": {"center": [3, -1], "dim": 2, '
+    '"shape": [[0.040000000000000001, 0], [0, 0.040000000000000001]]}, '
+    '"invariant": true, "orbit": [[7, 2], [7, -4], [-1, 2], [-1, -4], [6, '
+    '3], [6, -5], [0, 3], [0, -5]]}')
+
+
+def _shifted_square_group():
+    # the square's symmetries moved to sit at (3, -1): offsets (I - L) c
+    from extremal_ellipsoids import (AffineMap, FiniteGroup,
+                                     signed_permutation_group)
+
+    c0 = np.array([3.0, -1.0])
+    return FiniteGroup(tuple(AffineMap(g.linear, (np.eye(2) - g.linear) @ c0)
+                             for g in signed_permutation_group(2)))
+
+
+@pytest.mark.parametrize("case", ["named", "explicit", "shifted"])
+def test_symmetry_output_bytes(capsys, tmp_path, case):
+    from extremal_ellipsoids import dihedral_group, group_to_dict
+
+    payload, expected = {
+        "named": ({"group": "signed-permutation", "dim": 2, "x": [0.9, 0.4]},
+                  SYMMETRY_NAMED),
+        "explicit": ({**group_to_dict(dihedral_group(4)), "x": [0.7, 0.0]},
+                     SYMMETRY_EXPLICIT),
+        "shifted": ({**group_to_dict(_shifted_square_group()),
+                     "x": [7.0, 2.0]}, SYMMETRY_SHIFTED),
+    }[case]
+    path = write_json(tmp_path, "sym.json", payload)
+    assert run(capsys, "symmetry", "--input", path) == (0, expected + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Oracle.
 

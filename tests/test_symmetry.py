@@ -1,5 +1,6 @@
 """Finite isometry groups, orbits, and group-averaged ellipsoids."""
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +65,47 @@ def test_group_rejects_open_composition():
         FiniteGroup((AffineMap(np.eye(2), np.zeros(2)), third))
 
 
+@functools.lru_cache(maxsize=None)
+def _hyperoctahedral(n):
+    return signed_permutation_group(n).elements
+
+
+@pytest.mark.parametrize("n,order", [(4, 384), (5, 3840)])
+def test_group_rejects_a_dropped_element(n, order):
+    elements = _hyperoctahedral(n)
+    assert len(elements) == order
+    with pytest.raises(ValueError, match="closed"):
+        FiniteGroup(elements[:-1])
+
+
+@pytest.mark.parametrize("n,order", [(4, 384), (5, 3840)])
+def test_group_rejects_a_moved_offset(n, order):
+    elements = list(_hyperoctahedral(n))
+    assert len(elements) == order
+    g = elements[order // 2]
+    elements[order // 2] = AffineMap(g.linear, g.offset + 1e-6 * np.eye(n)[0])
+    with pytest.raises(ValueError, match="closed"):
+        FiniteGroup(tuple(elements))
+
+
+def test_order_3840_builds_in_few_tree_queries(monkeypatch):
+    # at most ceil(log2 3840) = 12 generators plus the inverse check
+    import scipy.spatial
+
+    calls = []
+    tree = scipy.spatial.cKDTree
+
+    class Counted(tree):
+        def query(self, *args, **kwargs):
+            calls.append(1)
+            return super().query(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
+    group = signed_permutation_group(5)
+    assert len(group) == 3840
+    assert 0 < len(calls) <= 13
+
+
 def test_group_accepts_isometries_of_a_quadratic_form():
     # conjugating the quarter-turn group by diag(2, 1) gives maps that are
     # not orthogonal yet preserve the form diag(4, 1)
@@ -106,17 +148,72 @@ def test_invariant_center_of_linear_group_is_origin():
         np.testing.assert_allclose(c, np.zeros(grp.dim), atol=1e-12)
 
 
+def _square_at(c0):
+    # the square's symmetries moved to sit at c0: offsets (I - L) c0
+    return FiniteGroup(tuple(AffineMap(g.linear, (np.eye(2) - g.linear) @ c0)
+                             for g in signed_permutation_group(2)))
+
+
 def test_invariant_center_of_shifted_group():
-    # the square's symmetries moved to sit at (3, -1): offsets (I - L) c
     c0 = np.array([3.0, -1.0])
-    base = signed_permutation_group(2)
-    maps = tuple(AffineMap(g.linear, (np.eye(2) - g.linear) @ c0)
-                 for g in base)
-    grp = FiniteGroup(maps)
+    grp = _square_at(c0)
     c = invariant_center(grp, [7.0, 2.0])
     np.testing.assert_allclose(c, c0, atol=1e-12)
     for g in grp:
         np.testing.assert_allclose(g(c), c, atol=1e-12)
+
+
+def _loop_orbit(group, x):
+    points = []
+    for g in group:
+        gx = g(x)
+        if all(np.max(np.abs(gx - p)) > 1e-9 for p in points):
+            points.append(gx)
+    return points
+
+
+def _loop_shape(group, x, c):
+    avg = np.zeros((group.dim, group.dim))
+    for g in group:
+        dev = g(x) - c
+        avg += np.outer(dev, dev)
+    shape = np.linalg.inv(group.dim * (avg / len(group)))
+    return 0.5 * (shape + shape.T)
+
+
+def _loop_invariant(group, e):
+    scale_c = 1.0 + float(np.linalg.norm(e.center))
+    return all(np.linalg.norm(g(e.center) - e.center) <= 1e-9 * scale_c
+               and np.linalg.norm(g.linear.T @ e.shape @ g.linear - e.shape)
+               <= 1e-9 * np.linalg.norm(e.shape) for g in group)
+
+
+# 8 images 0.61e-9 apart on a circle of radius 0.8e-9 chain the dropping
+# rule: image 2 is dropped by image 0, image 3 is kept though image 2 is near
+@pytest.mark.parametrize("build,x", [
+    (lambda: signed_permutation_group(3), [0.9, 0.4, 0.1]),
+    (lambda: signed_permutation_group(4), [0.9, -0.7, 0.4, 0.0]),
+    (lambda: cyclic_group(8), [0.8e-9, 0.0]),
+    (lambda: dihedral_group(6), [1.0, 0.3]),
+    (lambda: slab_symmetry_group(3, flip_axis=True), [0.5, 0.2, 0.0]),
+    (lambda: _square_at(np.array([3.0, -1.0])), [7.0, 2.0]),
+], ids=["B3", "B4-fixed", "C8-chain", "D6", "slab-flip", "shifted"])
+def test_array_forms_equal_the_element_loops(build, x):
+    group = build()
+    x = np.asarray(x)
+    np.testing.assert_array_equal(np.array(orbit(group, x)),
+                                  np.array(_loop_orbit(group, x)))
+    total = np.zeros(group.dim)
+    for g in group:
+        total += g(x)
+    c = invariant_center(group, x)
+    np.testing.assert_array_equal(c, total / len(group))
+    zero = np.zeros(group.dim)
+    shape = invariant_shape(group, x, zero)
+    np.testing.assert_array_equal(shape, _loop_shape(group, x, zero))
+    for e in (Ellipsoid(c, np.eye(group.dim)), Ellipsoid(zero, shape),
+              Ellipsoid(c + 1e-3, np.eye(group.dim))):
+        assert check_invariant_ellipsoid(group, e) == _loop_invariant(group, e)
 
 
 # ---------------------------------------------------------------------------
