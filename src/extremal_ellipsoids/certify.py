@@ -35,7 +35,7 @@ from .errors import NotNonnegative, NotOptimal
 MULTIPLIER_PRUNE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactCertificate:
     """Contact points and multipliers witnessing extremality."""
 
@@ -59,7 +59,7 @@ class ContactCertificate:
             raise ValueError("multipliers must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertResult:
     """Outcome of a certification run; passed iff every residual is in tolerance."""
 

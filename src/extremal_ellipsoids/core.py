@@ -24,6 +24,7 @@ from .errors import (
 # Default tolerances; certification code overrides them explicitly.
 SYMMETRY_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
+_REL_PIVOT_TOL = 1e-12
 
 
 def unit_ball_volume(n: int) -> float:
@@ -37,15 +38,15 @@ def _as_immutable(a, dtype=float):
     return out
 
 
-def cholesky_spd(x: np.ndarray, rel_pivot_tol: float = 1e-12) -> np.ndarray:
+def cholesky_spd(x: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``x``, rejecting non-SPD input.
 
-    Pivots are required to exceed ``rel_pivot_tol * trace(x)/n`` so the
+    Pivots are required to exceed ``_REL_PIVOT_TOL * trace(x)/n`` so the
     check is scale aware.  Raises InvalidEllipsoid on failure.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    floor = rel_pivot_tol * max(np.trace(x) / n, 0.0)
+    floor = _REL_PIVOT_TOL * max(np.trace(x) / n, 0.0)
     if not np.isfinite(x).all():
         raise InvalidEllipsoid("shape matrix has non-finite entries")
     try:
@@ -66,7 +67,7 @@ def symmetric_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Ellipsoid {x : <X(x-c), x-c> <= 1} with SPD shape X."""
 
@@ -150,7 +151,7 @@ def contains(e: Ellipsoid, x, tol: float = MEMBERSHIP_TOL) -> bool:
     return bool(e.quadratic_form(np.asarray(x, dtype=float)) <= 1.0 + tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMap:
     """x -> offset + linear @ x with invertible linear part."""
 
@@ -202,7 +203,7 @@ def map_ellipsoid(t: AffineMap, e: Ellipsoid) -> Ellipsoid:
     return Ellipsoid(t(e.center), x_new)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Convex polytope in vertex form or halfspace form.
 

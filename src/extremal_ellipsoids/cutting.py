@@ -24,7 +24,7 @@ from .slab import ce_slab, oriented
 _NOOP_TOL = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutStepRecord:
     iteration: int
     normal: np.ndarray
@@ -65,7 +65,7 @@ class FeasibilityProblem:
             raise ValueError("volume floor must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     status: str  # FEASIBLE | INFEASIBLE | BUDGET
     point: Optional[np.ndarray]

@@ -103,7 +103,7 @@ class AxialEllipsoidParams:
         return Ellipsoid(center, np.diag(self.shape_diagonal()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralSlab:
     """Slice of a general ellipsoid: {x in E(X0, c0) : lo <= <p, x-c0> <= hi}."""
 

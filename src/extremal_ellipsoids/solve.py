@@ -18,7 +18,10 @@ certificate, which is checked before the result is returned.
 
 ``grid_oracle_slab``: exhaustive search over axial ellipsoids of a slab or
 truncated cone against sampled feasibility constraints; the independent
-reference for the closed forms.
+reference for the closed forms.  The center tau is found by one zooming
+grid, 17 values of tau per step narrowed to the neighbours of the best;
+per tau, the inner (a, b) problem is a golden section of 70 steps that
+evaluates its objective once per step.
 """
 
 from __future__ import annotations
@@ -34,9 +37,15 @@ from .errors import DegenerateInput, InvalidBody, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# grid oracle: tau values per zoom step, and golden-section steps of the
+# inner (a, b) search, about 1e-13 relative over its log bracket
+_ZOOM_POINTS = 17
+_INNER_STEPS = 70
 # MVIE Newton steps before Unconverged; seeded test and benchmark bodies
 # (n <= 12, m <= 150) take at most 30
 _NEWTON_BUDGET = 200
+# MVEE weights above this are the support of the Newton polish
+_SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,13 +105,13 @@ def _step(kappa: np.ndarray, w: np.ndarray, d: int):
     return (eps_fw, j_fw) if eps_fw >= eps_aw else (eps_aw, j_aw)
 
 
-def _newton_polish_weights(pts_lifted: np.ndarray, w: np.ndarray,
-                           support_tol: float) -> np.ndarray:
+def _newton_polish_weights(pts_lifted: np.ndarray,
+                           w: np.ndarray) -> np.ndarray:
     """Solve kappa_i(w) = n+1 on the support by damped Newton steps."""
     d = pts_lifted.shape[1]
     w = w.copy()
     for _ in range(60):
-        support = np.flatnonzero(w > support_tol)
+        support = np.flatnonzero(w > _SUPPORT_TOL)
         q = pts_lifted[support]
         try:
             minv, kappa = _inverse_design(q, w[support])
@@ -167,7 +176,7 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
         raise Unconverged(f"mvee gap {gap:.3e} after {cfg.max_iter} iterations",
                           gap=gap)
 
-    w = _newton_polish_weights(lifted, w, support_tol=1e-9)
+    w = _newton_polish_weights(lifted, w)
     center = w @ pts
     centered = pts - center
     cov = (centered.T * w) @ centered
@@ -321,18 +330,25 @@ def _golden_max_log(f, lo, hi, iters):
     """Vectorized golden-section max of f over [lo, hi], in log coordinates.
 
     ``f`` maps a positive vector to objective values; unimodality is
-    preserved under the monotone reparameterization.
+    preserved under the monotone reparameterization.  Each step keeps one
+    interior point and its value, so it evaluates ``f`` once (Kiefer 1953):
+    ``iters + 3`` evaluations in all.
     """
     llo = np.log(lo)
     lhi = np.log(hi)
+    x1 = lhi - _GOLDEN * (lhi - llo)
+    x2 = llo + _GOLDEN * (lhi - llo)
+    f1 = f(np.exp(x1))
+    f2 = f(np.exp(x2))
     for _ in range(iters):
-        x1 = lhi - _GOLDEN * (lhi - llo)
-        x2 = llo + _GOLDEN * (lhi - llo)
-        f1 = f(np.exp(x1))
-        f2 = f(np.exp(x2))
-        take_low = f1 >= f2
-        lhi = np.where(take_low, x2, lhi)
-        llo = np.where(take_low, llo, x1)
+        low = f1 >= f2
+        llo = np.where(low, llo, x1)
+        lhi = np.where(low, x2, lhi)
+        new = np.where(low, lhi - _GOLDEN * (lhi - llo),
+                       llo + _GOLDEN * (lhi - llo))
+        f_new = f(np.exp(new))
+        x1, x2 = np.where(low, new, x2), np.where(low, x1, new)
+        f1, f2 = np.where(low, f_new, f2), np.where(low, f1, f_new)
     mid = np.exp(0.5 * (llo + lhi))
     return mid, f(mid)
 
@@ -404,16 +420,18 @@ def _ie_inner(tau, v, alpha, beta, n, iters):
     return a_best, np.sqrt(np.maximum(best_b2(a_best), 0.0)), f_best
 
 
-def _tau_golden(eval_fn, lo: float, hi: float, iters: int):
-    for _ in range(iters):
-        t1 = hi - _GOLDEN * (hi - lo)
-        t2 = lo + _GOLDEN * (hi - lo)
-        f12 = eval_fn(np.array([t1, t2]))[2]
-        if f12[0] >= f12[1]:
-            hi = t2
-        else:
-            lo = t1
-    return 0.5 * (lo + hi)
+def _zoom_tau(inner, sample, lo, hi, width):
+    """(tau, a, b) at the best of _ZOOM_POINTS tau values on [lo, hi], each
+    step narrowing [lo, hi] to the neighbours of the best until it is at most
+    ``width`` wide.  The step count is fixed up front, since a bracket a few
+    ulps wide stops shrinking."""
+    shrink = (_ZOOM_POINTS - 1) / 2
+    for _ in range(max(1, math.ceil(math.log((hi - lo) / width, shrink)))):
+        taus = np.linspace(lo, hi, _ZOOM_POINTS)
+        a, b, f = inner(taus, sample)
+        k = int(np.argmax(f))
+        lo, hi = taus[max(k - 1, 0)], taus[min(k + 1, _ZOOM_POINTS - 1)]
+    return float(taus[k]), float(a[k]), float(b[k])
 
 
 def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
@@ -421,11 +439,15 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
     """Brute-force axial-ellipsoid search used as an independent reference.
 
     ``problem`` is "CE", "IE", or "CONE".  The feasibility sample along the
-    axial coordinate uses ``resolution`` points (endpoints included); the
-    best tau cell is then narrowed by golden section, with the inner (a, b)
-    subproblem solved per tau by a golden section over one coefficient and
-    the other given in closed form against the sampled constraints.  The
-    cone variant checks feasibility on the two rim circles only.
+    axial coordinate uses ``resolution`` points (endpoints included).  The
+    center tau is found by a zooming grid: 17 values of tau at a time,
+    narrowed to the neighbours of the best until the bracket is
+    2e-8 (beta - alpha) wide.  Per tau, the inner (a, b) subproblem is
+    solved by a golden section of 70 steps over one coefficient, with the
+    other given in closed form against the sampled constraints.
+    When a contact falls between samples, it is added to the sample and tau
+    is searched again near the last one.  The cone variant checks
+    feasibility on the two rim circles only.
     """
     problem = problem.upper()
     if problem not in ("CE", "IE", "CONE"):
@@ -434,45 +456,31 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
         raise ValueError("resolution must be at least 64")
     n = s.n
     alpha, beta = s.alpha, s.beta
-    margin = 1e-9 * (beta - alpha)
-    # tau only needs bracketing before golden section takes over, so the
-    # tau grid is capped; the feasibility sample uses the full resolution
-    tau_grid = np.linspace(alpha + margin, beta - margin,
-                           min(resolution, 128))
-    cells = tau_grid.shape[0]
-    cell = tau_grid[1] - tau_grid[0]
-
     if problem in ("CE", "CONE"):
         sample = (np.linspace(alpha, beta, resolution) if problem == "CE"
                   else np.array([alpha, beta]))
-        inner = lambda tau, smp, iters: _ce_inner(tau, smp, n, iters)
+        inner = lambda tau, smp: _ce_inner(tau, smp, n, _INNER_STEPS)
     else:
         sample = np.linspace(-1.0, 1.0, resolution)
-        inner = lambda tau, smp, iters: _ie_inner(tau, smp, alpha, beta,
-                                                  n, iters)
+        inner = lambda tau, smp: _ie_inner(tau, smp, alpha, beta, n,
+                                           _INNER_STEPS)
 
-    _, _, f_grid = inner(tau_grid, sample, 26)
-    best = int(np.argmax(f_grid))
-    lo = tau_grid[max(best - 1, 0)]
-    hi = tau_grid[min(best + 1, cells - 1)]
-    tau = _tau_golden(lambda t: inner(t, sample, 70), lo, hi, 28)
-    a_val, b_val, _ = (float(x[0]) for x in inner(np.array([tau]),
-                                                  sample, 75))
-
-    # interior contacts can fall between samples; separate and re-solve
+    margin = 1e-9 * (beta - alpha)
+    lo, hi = alpha + margin, beta - margin
+    width = 2e-8 * (beta - alpha)
+    radius = max(1e-3 * (beta - alpha), 1e-4)
+    # interior contacts can fall between samples: a pass that finds one
+    # adds it to the sample, and the next pass searches near the last tau
     rounds = 4 if problem == "IE" else 3
-    for _ in range(rounds):
+    for _ in range(rounds + 1):
+        tau, a_val, b_val = _zoom_tau(inner, sample, lo, hi, width)
         worst = _worst_sample(problem, tau, a_val, b_val, alpha, beta)
         if worst is None or np.min(np.abs(sample - worst)) < 1e-10:
             break
         sample = np.sort(np.append(sample, worst))
-        radius = max(1e-3 * (beta - alpha), 1e-4)
-        tau = _tau_golden(lambda t: inner(t, sample, 70),
-                          tau - radius, tau + radius, 18)
-        a_val, b_val, _ = (float(x[0]) for x in inner(np.array([tau]),
-                                                      sample, 75))
+        lo, hi = tau - radius, tau + radius
     form = "axes" if problem == "IE" else "shape"
-    return AxialEllipsoidParams(float(tau), a_val, b_val, n, form, "oracle")
+    return AxialEllipsoidParams(tau, a_val, b_val, n, form, "oracle")
 
 
 def _worst_sample(problem, tau, a, b, alpha, beta):

@@ -23,7 +23,7 @@ _ORBIT_TOL = 1e-9
 _INVARIANCE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Finite collection of affine isometries, closed under the group laws.
 

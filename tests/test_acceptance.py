@@ -47,6 +47,7 @@ from extremal_ellipsoids import (
     unit_ball_volume,
     volume,
 )
+from extremal_ellipsoids import solve
 from extremal_ellipsoids.core import chebyshev_center, cholesky_spd
 
 DIMS = (2, 3, 5)
@@ -66,15 +67,31 @@ def _max_residual(result) -> float:
 # ---------------------------------------------------------------------------
 # Closed forms against the derivative-free oracle.
 
-def test_ce_slab_grid_agrees_with_oracle_within_budget():
+def test_ce_slab_grid_agrees_with_oracle_within_budget(monkeypatch):
+    # the work budget counts objective evaluations per oracle call, so it
+    # fails only on a slower algorithm, not on a loaded machine; the sweep
+    # needs at most 1971 (73 per zoom step: 9 steps on the first tau pass
+    # and 6 on each of 3 refinement passes), and 2400 leaves 20% headroom
+    evaluations = []
+    golden = solve._golden_max_log
+
+    def counted(f, lo, hi, iters):
+        def f_counted(x):
+            evaluations[-1] += 1
+            return f(x)
+        return golden(f_counted, lo, hi, iters)
+
+    monkeypatch.setattr(solve, "_golden_max_log", counted)
     start = time.perf_counter()
     worst = 0.0
     for n in DIMS:
         for alpha, beta in PAIRS:
             s = SlabSpec(n, alpha, beta)
+            evaluations.append(0)
             worst = max(worst, _gap(ce_slab(s), grid_oracle_slab(s, "CE")))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-4, f"worst grid gap {worst:.3e}"
+    assert max(evaluations) <= 2400, f"{max(evaluations)} evaluations"
     assert elapsed < 60.0, f"grid sweep took {elapsed:.1f} s"
 
 

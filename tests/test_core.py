@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 
 from extremal_ellipsoids import (
     AffineMap,
+    CertResult,
+    ContactCertificate,
+    CutStepRecord,
     Ellipsoid,
     EmptyBody,
+    FeasibilityResult,
+    GeneralSlab,
     InvalidDirection,
     InvalidEllipsoid,
     Polytope,
     SingularMap,
     chebyshev_center,
     contains,
+    cyclic_group,
     ellipsoid_from_dict,
     ellipsoid_to_dict,
     identity_map,
@@ -415,3 +421,25 @@ def test_ellipsoid_dict_dim_mismatch():
     payload["dim"] = 3
     with pytest.raises(InvalidEllipsoid):
         ellipsoid_from_dict(payload)
+
+
+# ---------------------------------------------------------------------------
+# Equality of the array-holding records.
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineMap(np.eye(2), np.zeros(2)),
+    lambda: unit_ball(2),
+    lambda: Polytope(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    lambda: cyclic_group(3),
+    lambda: GeneralSlab(np.eye(2), np.zeros(2), [1.0, 0.0], -0.5, 0.5),
+    lambda: ContactCertificate(np.eye(2), [0.5, 0.5], "ce"),
+    lambda: CertResult(True, {"matrix_eq": 0.0}, worst_point=np.zeros(2)),
+    lambda: CutStepRecord(0, np.array([1.0, 0.0]), -0.5, 0.5, 1.0, 0.5, 0.5),
+    lambda: FeasibilityResult("FEASIBLE", np.zeros(2), 1.0),
+], ids=lambda make: type(make()).__name__)
+def test_array_records_compare_by_identity_and_hash(make):
+    a, b = make(), make()
+    assert (a == a) is True
+    assert (a == b) is False
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

@@ -32,7 +32,7 @@ from extremal_ellipsoids import (
     unit_ball_volume,
     volume,
 )
-from extremal_ellipsoids.solve import _dedup_rows
+from extremal_ellipsoids.solve import _dedup_rows, _golden_max_log
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -462,6 +462,29 @@ def test_mvie_rejects_unbounded_and_empty_bodies():
 
 # ---------------------------------------------------------------------------
 # Grid oracle.
+
+def test_golden_section_finds_kinked_maxima_with_one_evaluation_per_step():
+    # log-concave profiles with a kink at m, the form the oracle's inner
+    # profiles take where a sampled constraint binds; on half the rows the
+    # objective is -inf from 1.5 m to the top of the bracket
+    rng = np.random.default_rng(7)
+    rows = 200
+    m = np.exp(rng.uniform(np.log(1e-5), np.log(5.0), rows))
+    edge = np.where(np.arange(rows) % 2 == 0, 1.5 * m, np.inf)
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        r = np.log(x / m)
+        return np.where(x < edge, np.minimum(r, -3.0 * r), -np.inf)
+
+    iters = 70
+    best, value = _golden_max_log(f, np.full(rows, 1e-6), np.full(rows, 10.0),
+                                  iters)
+    assert np.max(np.abs(best / m - 1.0)) <= 1e-12
+    assert np.all(np.isfinite(value))
+    assert len(calls) == iters + 3
+
 
 def test_oracle_validates_inputs():
     with pytest.raises(ValueError):
