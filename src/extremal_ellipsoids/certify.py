@@ -9,16 +9,21 @@ u_i on the boundary of both K and E and multipliers lambda_i >= 0 with
 
 (taking traces gives sum lambda_i = n).  These conditions are sufficient,
 so a passing certificate establishes optimality, not just feasibility.
+The system is affine invariant: in the frame of E = {c + F u : |u| <= 1},
+with u_bar_i = F^(-1)(u_i - c), it reads sum_i lambda_i u_bar_i
+u_bar_i^T = I and sum_i lambda_i u_bar_i = 0, and the residuals are
+measured there.
 
 ``certify_ce`` and ``certify_ie`` take one path.  The candidate contacts
 are a CE body's points whose quadratic form reaches 1 - sqrt(tol), or the
 support points (``core.support_points``) of an IE body's facets that lie
 within sqrt(tol) of the ellipsoid.  NNLS fits their multipliers, and
 ``pruned_certificate`` drops those at most MULTIPLIER_PRUNE, as it does
-for the solvers.  A pass needs feasibility and matrix_eq <= tol,
+for the solvers.  The residuals are matrix_eq = |sum lambda u_bar u_bar^T
+- I|_F / sqrt(n), centroid_eq = |sum lambda u_bar| and multiplier_sum =
+|sum lambda - n|; a pass needs feasibility and matrix_eq <= tol,
 centroid_eq and multiplier_sum <= n tol and contact_membership <=
-sqrt(tol); in the input coordinates these residuals round to about
-cond(X) eps even at the optimum.
+sqrt(tol).
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Ellipsoid, Polytope, support_points, symmetric_roots,
-                   unit_ball)
+from .core import Ellipsoid, Polytope, support_points, unit_ball
 from .errors import NotNonnegative, NotOptimal
 
 MULTIPLIER_PRUNE = 1e-10
@@ -93,29 +97,18 @@ def nnls(a, b):
 def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:
     """Nonnegative least squares fit of the Fritz John system.
 
-    Solved in the normalized frame u_bar = X^(1/2)(u - c), where the target
-    matrix is the identity; the multipliers are frame independent.  Rows:
-    upper triangle of u_bar u_bar^T (off-diagonal weighted by sqrt(2) so the
-    residual matches the Frobenius norm), the centroid rows, and the trace
-    row sum(lambda) = n.
+    Solved in the frame u_bar = F^(-1)(u - c), where the target matrix is
+    the identity.  Rows: upper triangle of u_bar u_bar^T (off-diagonal
+    weighted by sqrt(2) so the residual matches the Frobenius norm), the
+    centroid rows, and the trace row sum(lambda) = n.
     """
     n = e.dim
-    u = np.atleast_2d(contacts)
-    k = u.shape[0]
-    ubar = (u - e.center) @ symmetric_roots(e.shape)[0].T
-
+    ubar = (np.atleast_2d(contacts) - e.center) @ e._factor_inv.T
     iu, ju = np.triu_indices(n)
     weights = np.where(iu == ju, 1.0, math.sqrt(2.0))
-    rows_mat = ubar[:, iu] * ubar[:, ju] * weights  # (k, n(n+1)/2)
-    target_mat = np.where(iu == ju, 1.0, 0.0) * weights
-
-    a = np.zeros((rows_mat.shape[1] + n + 1, k))
-    b = np.zeros(rows_mat.shape[1] + n + 1)
-    a[:rows_mat.shape[1], :] = rows_mat.T
-    b[:rows_mat.shape[1]] = target_mat
-    a[rows_mat.shape[1]:rows_mat.shape[1] + n, :] = ubar.T
-    a[-1, :] = 1.0
-    b[-1] = float(n)
+    a = np.vstack([(ubar[:, iu] * ubar[:, ju] * weights).T, ubar.T,
+                   np.ones(len(ubar))])
+    b = np.concatenate([np.where(iu == ju, 1.0, 0.0), np.zeros(n), [n]])
     lam, _ = nnls(a, b)
     return lam
 
@@ -123,16 +116,15 @@ def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:
 def fritz_john_residuals(e: Ellipsoid, contacts: np.ndarray,
                          multipliers: np.ndarray) -> dict:
     """Residuals of the two Fritz John equations plus the trace identity,
-    in the input coordinates: even the exact optimum rounds to about
-    cond(X) eps there, whatever frame the sums are formed in."""
-    diff = np.atleast_2d(contacts) - e.center
+    in the frame u_bar = F^(-1)(u - c), as the module docstring defines."""
+    n = e.dim
+    ubar = (np.atleast_2d(contacts) - e.center) @ e._factor_inv.T
     lam = np.asarray(multipliers, dtype=float)
-    x_inv = np.linalg.inv(e.shape)
-    outer = (diff.T * lam) @ diff
+    outer = (ubar.T * lam) @ ubar
     return {
-        "matrix_eq": float(np.linalg.norm(outer - x_inv) / np.linalg.norm(x_inv)),
-        "centroid_eq": float(np.linalg.norm(lam @ diff)),
-        "multiplier_sum": float(abs(lam.sum() - e.dim)),
+        "matrix_eq": float(np.linalg.norm(outer - np.eye(n)) / math.sqrt(n)),
+        "centroid_eq": float(np.linalg.norm(lam @ ubar)),
+        "multiplier_sum": float(abs(lam.sum() - n)),
     }
 
 
@@ -208,7 +200,7 @@ def certify_ie(body: Polytope, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
     """Certify E as the maximum-volume ellipsoid inscribed in an H-polytope.
 
     Feasibility is the per-facet support inequality
-    <c, a_i> + <X^(-1) a_i, a_i>^(1/2) <= b_i on unit normals; contacts
+    <c, a_i> + |F^T a_i| <= b_i on unit normals; contacts
     are the tangency points of the facets within sqrt(tol) of it.
     """
     if not isinstance(body, Polytope) or body.is_vform:
@@ -232,7 +224,7 @@ def _within_tolerances(residuals: dict, n: int, tol: float) -> bool:
 
 def _scaled(e: Ellipsoid, factor: float) -> Ellipsoid:
     """Scale the ellipsoid about its center by ``factor`` (semi-axes times factor)."""
-    return Ellipsoid(e.center, e.shape / factor ** 2)
+    return Ellipsoid.from_factor(e.center, factor * e.factor())
 
 
 def john_factors(body, e: Ellipsoid, kind: str, symmetric: bool,

@@ -1,18 +1,26 @@
 """Ellipsoid algebra: representation, volume, support functions, polarity,
 affine maps, and membership predicates.
 
-An ellipsoid is stored as a center ``c`` and a symmetric positive definite
-shape matrix ``X`` and denotes the set ``{x : <X(x-c), x-c> <= 1}``.  The
-factor form ``A = X^(-1/2)`` (whose columns scale the unit ball onto the
-ellipsoid) is derived on demand from a symmetric eigendecomposition.
+An ellipsoid is a center ``c`` and a nonsingular factor ``F``: the set
+``{c + F u : |u| <= 1}``, which is also ``{x : <X(x-c), x-c> <= 1}`` for
+the shape ``X = (F F^T)^(-1)``.  Support points, volumes, affine images,
+cuts and certificates read F; X serves membership tests and output.  This
+module is the one place that converts between the two: from X = L L^T
+the factor is F = L^(-T), and from F the shape is X = G^T G with G = F^(-1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+# scipy is a hard dependency whose subpackages are imported where they are
+# used, which keeps them out of the CLI's start-up.  The bare package loads
+# none of them: importing it here fails a missing install at import time and
+# puts scipy in sys.modules, where perfbench/run.py reads its version.
+import scipy  # noqa: F401
 
 from .errors import (
     EmptyBody,
@@ -61,33 +69,67 @@ def cholesky_spd(x: np.ndarray) -> np.ndarray:
     return lower
 
 
-def symmetric_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X^(1/2), X^(-1/2)) of a symmetric positive definite X, via eigh."""
-    w, v = np.linalg.eigh(x)
-    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+def _center_and_matrix(center, matrix, name: str):
+    """Immutable copies of a center and a finite square matrix matching it."""
+    c = _as_immutable(np.atleast_1d(center))
+    m = _as_immutable(np.atleast_2d(matrix))
+    n = c.shape[0]
+    if m.shape != (n, n):
+        raise InvalidEllipsoid(f"{name} is {m.shape}, expected ({n}, {n})")
+    if not np.isfinite(m).all():
+        raise InvalidEllipsoid(f"{name} has non-finite entries")
+    return c, m
 
 
-@dataclass(frozen=True, eq=False)
 class Ellipsoid:
-    """Ellipsoid {x : <X(x-c), x-c> <= 1} with SPD shape X."""
+    """Ellipsoid {c + F u : |u| <= 1} = {x : <X(x-c), x-c> <= 1}, F F^T = X^-1.
 
-    center: np.ndarray
-    shape: np.ndarray
+    ``Ellipsoid(center, shape)`` takes an SPD shape X and keeps its bytes;
+    ``Ellipsoid.from_factor(center, factor)`` takes F and derives X and
+    F^-1 at most once, on first use.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        c = _as_immutable(np.atleast_1d(self.center))
-        x = _as_immutable(np.atleast_2d(self.shape))
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "shape", x)
-        n = c.shape[0]
-        if x.shape != (n, n):
-            raise InvalidEllipsoid(f"shape is {x.shape}, expected ({n}, {n})")
-        if not np.isfinite(x).all():
-            raise InvalidEllipsoid("shape matrix has non-finite entries")
-        asym = float(np.max(np.abs(x - x.T))) if n else 0.0
+    def __init__(self, center, shape):
+        c, x = _center_and_matrix(center, shape, "shape")
+        asym = float(np.max(np.abs(x - x.T))) if x.size else 0.0
         if asym > SYMMETRY_TOL:
             raise InvalidEllipsoid(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-        cholesky_spd(x)  # raises if not positive definite
+        lower = cholesky_spd(x)  # raises if not positive definite
+        # X = L L^T, so F = L^-T, F^-1 = L^T and log|det F| = -sum log L_ii
+        self.__dict__.update(center=c, shape=x,
+                             _factor=_as_immutable(np.linalg.inv(lower).T),
+                             _factor_inv=_as_immutable(lower.T),
+                             _log_det=-float(np.sum(np.log(np.diag(lower)))))
+
+    @classmethod
+    def from_factor(cls, center, factor) -> "Ellipsoid":
+        """The ellipsoid {center + factor u : |u| <= 1}; ``factor`` must be
+        square, finite and nonsingular."""
+        c, f = _center_and_matrix(center, factor, "factor")
+        sign, log_det = np.linalg.slogdet(f)
+        if sign == 0 or not np.isfinite(log_det):
+            raise InvalidEllipsoid("factor is singular")
+        e = cls.__new__(cls)
+        e.__dict__.update(center=c, _factor=f, _log_det=float(log_det))
+        return e
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Ellipsoid is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Ellipsoid(center={self.center!r}, factor={self._factor!r})"
+
+    @cached_property
+    def shape(self) -> np.ndarray:
+        """X = G^T G with G = F^-1, symmetrized."""
+        g = self._factor_inv
+        x = g.T @ g
+        return _as_immutable(0.5 * (x + x.T))
+
+    @cached_property
+    def _factor_inv(self) -> np.ndarray:
+        """F^-1, the map of E - c onto the unit ball; certify reads it."""
+        return _as_immutable(np.linalg.inv(self._factor))
 
     @property
     def dim(self) -> int:
@@ -102,14 +144,14 @@ class Ellipsoid:
         return np.einsum("ij,jk,ik->i", diff, self.shape, diff)
 
     def factor(self) -> np.ndarray:
-        """Symmetric A = X^(-1/2); maps the unit ball onto E - c."""
-        return symmetric_roots(self.shape)[1]
+        """F, with F F^T = X^-1; maps the unit ball onto E - c."""
+        return self._factor
 
     def boundary_points(self, directions) -> np.ndarray:
-        """Boundary points c + A d/|d| for each row of ``directions``."""
+        """Boundary points c + F d/|d| for each row of ``directions``."""
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         d = d / np.linalg.norm(d, axis=1, keepdims=True)
-        return self.center + d @ self.factor().T
+        return self.center + d @ self._factor.T
 
 
 def unit_ball(n: int) -> Ellipsoid:
@@ -117,29 +159,21 @@ def unit_ball(n: int) -> Ellipsoid:
 
 
 def volume(e: Ellipsoid) -> float:
-    """det(X)^(-1/2) times the unit-ball volume."""
-    return factor_volume(cholesky_spd(e.shape))
-
-
-def factor_volume(lower: np.ndarray) -> float:
-    """Volume of the ellipsoid whose shape X has Cholesky factor ``lower``."""
-    # det(X)^(-1/2) = prod(diag(L))^(-1), computed in log space
-    log_det_root = float(np.sum(np.log(np.diag(lower))))
-    return math.exp(-log_det_root) * unit_ball_volume(lower.shape[0])
+    """|det F| times the unit-ball volume."""
+    return math.exp(e._log_det) * unit_ball_volume(e.dim)
 
 
 def support_points(e: Ellipsoid, normals) -> tuple[np.ndarray, np.ndarray]:
-    """Support values <c, a_i> + <X^(-1) a_i, a_i>^(1/2) for the rows a_i
-    of ``normals``, and the points c + X^(-1) a_i / <X^(-1) a_i, a_i>^(1/2)
-    of E where they are attained."""
+    """Support values <c, a_i> + |F^T a_i| for the rows a_i of ``normals``,
+    and the points c + F F^T a_i / |F^T a_i| of E where they are attained."""
     a = np.atleast_2d(np.asarray(normals, dtype=float))
-    ya = a @ np.linalg.inv(e.shape)  # rows X^(-1) a_i
-    s = np.sqrt(np.einsum("ij,ij->i", ya, a))
-    return a @ e.center + s, e.center + ya / s[:, None]
+    v = a @ e.factor()  # rows F^T a_i
+    s = np.linalg.norm(v, axis=1)
+    return a @ e.center + s, e.center + (v / s[:, None]) @ e.factor().T
 
 
 def support_function(e: Ellipsoid, d) -> float:
-    """s_E(d) = <c, d> + <X^(-1) d, d>^(1/2)."""
+    """s_E(d) = <c, d> + |F^T d|."""
     d = np.asarray(d, dtype=float)
     if not np.linalg.norm(d) > 0.0:
         raise InvalidDirection("support direction must be nonzero")
@@ -194,13 +228,10 @@ def identity_map(n: int) -> AffineMap:
 
 
 def map_ellipsoid(t: AffineMap, e: Ellipsoid) -> Ellipsoid:
-    """Image of E(X, c) under x -> a + Ax, namely E(A^-T X A^-1, a + Ac)."""
+    """Image of {c + F u : |u| <= 1} under x -> a + Ax: {a + Ac + AF u}."""
     if t.dim != e.dim:
         raise SingularMap(f"map dim {t.dim} does not match ellipsoid dim {e.dim}")
-    a_inv = np.linalg.inv(t.linear)
-    x_new = a_inv.T @ e.shape @ a_inv
-    x_new = 0.5 * (x_new + x_new.T)  # symmetrize rounding noise
-    return Ellipsoid(t(e.center), x_new)
+    return Ellipsoid.from_factor(t(e.center), t.linear @ e.factor())
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .core import Ellipsoid, factor_volume, volume
+from .core import Ellipsoid, volume
 from .errors import EmptySlab
 from .slab import ce_slab, oriented
 
@@ -77,32 +76,35 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
                       iteration: int = 0):
     """Smallest ellipsoid containing {x in E : a <= <p, x - center> <= b}.
 
-    With g = (p^T X^-1 p)^(1/2) the slab is [a/g, b/g] in units of the
-    ellipsoid's half-width along p.  Solving along s*p, with s = -1 when the
-    lower bound is the deeper one, ``ce_slab`` gives (tau, a', b') and the
-    update is the rank-one formula
+    With E = {c + F u : |u| <= 1}, v = F^T p and g = |v|, the slab is
+    [a/g, b/g] in units of the ellipsoid's half-width along p.  Solving
+    along s*p, with s = -1 when the lower bound is the deeper one,
+    ``ce_slab`` gives (tau, a', b'), and with w = v/g the update is the
+    rank-one formula
 
-        c+ = c + s tau X^-1 p / g,    X+ = b' X + (a' - b') p p^T / g^2,
+        c+ = c + s tau F w,
+        F+ = F / sqrt(b') + (1/sqrt(a') - 1/sqrt(b')) (F w) w^T,
 
-    with volume ratio (a' b'^(n-1))^(-1/2).  Bounds deeper than the
-    ellipsoid extent are clamped; a slab missing the ellipsoid entirely
-    raises EmptySlab.  Shallow two-sided cuts that cannot shrink the volume
-    return E unchanged with ratio 1.
+    which is X+ = b' X + (a' - b') p p^T / g^2 in shape form, with volume
+    ratio (a' b'^(n-1))^(-1/2).  Bounds deeper than the ellipsoid extent
+    are clamped; a slab missing the ellipsoid entirely raises EmptySlab.
+    Shallow two-sided cuts that cannot shrink the volume return E
+    unchanged with ratio 1.
     """
     p = np.asarray(p, dtype=float)
     if a >= b:
         raise EmptySlab("slab bounds leave no width")
     n = e.dim
-    lower = np.linalg.cholesky(e.shape)
-    w = solve_triangular(lower, p, lower=True)
-    g = float(np.linalg.norm(w))
+    factor = e.factor()
+    v = p @ factor  # F^T p
+    g = float(np.linalg.norm(v))
     if not g > 0.0:
         raise ValueError("cut normal must be nonzero")
     alpha, beta = a / g, b / g
     if alpha >= 1.0 or beta <= -1.0:
         raise EmptySlab(f"slab [{alpha:.6g}, {beta:.6g}] misses the ellipsoid")
     alpha, beta = max(alpha, -1.0), min(beta, 1.0)
-    vol_before = factor_volume(lower)
+    vol_before = volume(e)
 
     if alpha * beta <= -1.0 / n + _NOOP_TOL:
         record = CutStepRecord(iteration, p, alpha, beta,
@@ -111,11 +113,13 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
 
     spec, sign = oriented(n, alpha, beta)  # sign -1.0: solve along -p
     params = ce_slab(spec)
-    direction = solve_triangular(lower.T, w, lower=False) / g  # X^-1 p / g
-    shape = params.b * e.shape + (params.a - params.b) * np.outer(p, p) / g ** 2
-    # X may be asymmetric within SYMMETRY_TOL, which b' > 1 would inflate
-    post = Ellipsoid(e.center + sign * params.tau * direction,
-                     0.5 * (shape + shape.T))
+    w = v / g
+    direction = factor @ w
+    root_b = 1.0 / math.sqrt(params.b)
+    post = Ellipsoid.from_factor(
+        e.center + sign * params.tau * direction,
+        root_b * factor
+        + (1.0 / math.sqrt(params.a) - root_b) * np.outer(direction, w))
     ratio = (params.a * params.b ** (n - 1)) ** -0.5
     record = CutStepRecord(iteration, p, alpha, beta,
                            vol_before, vol_before * ratio, ratio)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AffineMap, Ellipsoid, cholesky_spd, map_ellipsoid,
-                   symmetric_roots, unit_directions)
+                   unit_directions)
 from .errors import DegenerateInput, EmptyBody, InvalidEllipsoid
 
 # Case-dispatch guards. A nearly-symmetric interval is routed to the
@@ -77,9 +77,11 @@ class AxialEllipsoidParams:
     case: str = ""
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise InvalidEllipsoid(f"axial coefficients must be positive, "
-                                   f"got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.tau) and 0.0 < self.a < math.inf
+                and 0.0 < self.b < math.inf):
+            raise InvalidEllipsoid(f"axial coefficients must be finite and a, b "
+                                   f"positive, got tau={self.tau}, a={self.a}, "
+                                   f"b={self.b}")
         if self.form not in ("shape", "axes"):
             raise ValueError(f"unknown form {self.form!r}")
 
@@ -134,12 +136,14 @@ class GeneralSlab:
 def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
     """Reduce a general ellipsoid slab to the normalized form B_alpha_beta.
 
+    With E(X0, c0) = {c0 + F u : |u| <= 1} and q = F^T p, the map is
+    x = c0 + F H u, where the Householder reflection H sends e_1 to q/|q|.
     Returns ``(spec, m)`` with ``body = m(B_spec)``.  When the convention
     beta^2 >= alpha^2 forces the reflection x_1 -> -x_1, the reflection is
     composed into ``m`` and recorded in ``spec.reflected``.
     """
-    _, inv_root = symmetric_roots(g.shape0)
-    q = inv_root @ g.normal
+    factor = Ellipsoid(g.center0, g.shape0).factor()
+    q = g.normal @ factor  # F^T p
     qn = float(np.linalg.norm(q))
     alpha = g.lo / qn
     beta = g.hi / qn
@@ -160,7 +164,7 @@ def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
     else:
         qmat = np.eye(n)
 
-    linear = inv_root @ qmat
+    linear = factor @ qmat
     spec, sign = oriented(n, alpha, beta)
     linear[:, 0] *= sign
     return spec, AffineMap(linear, g.center0)

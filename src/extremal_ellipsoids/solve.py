@@ -313,11 +313,9 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     s = np.linalg.norm(g, axis=1)
     lam = lam * s
     contacts = c0 + (c + (g / s[:, None]) @ lower.T) @ frame.T
-    inv_lower = np.linalg.inv(frame @ lower)
-    shape = inv_lower.T @ inv_lower
-    ell = Ellipsoid(c0 + frame @ c, 0.5 * (shape + shape.T))
-    # the stop is judged in the frame; in the input coordinates rounding
-    # grows with cond X, so the certificate is checked there too
+    ell = Ellipsoid.from_factor(c0 + frame @ c, frame @ lower)
+    # the residuals are read in the frame of the factor frame @ lower, the
+    # solver's own, where they keep their precision however thin the body
     if max(fritz_john_residuals(ell, contacts, lam).values()) > 1e-8:
         raise Unconverged("mvie stopped short of the Fritz John system")
     return ell, pruned_certificate(ell, contacts, lam, "ie")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AffineMap, Ellipsoid, symmetric_roots
+from .core import AffineMap, Ellipsoid
 from .errors import SingularShape
 
 _CLOSURE_TOL = 1e-10
@@ -27,11 +27,12 @@ _INVARIANCE_TOL = 1e-9
 class FiniteGroup:
     """Finite collection of affine isometries, closed under the group laws.
 
-    ``form`` optionally supplies an SPD matrix whose square root conjugates
-    the linear parts to orthogonal ones; without it the linear parts must be
-    orthogonal as given.  Closure, inverses, and the identity are verified
-    eagerly since everything downstream relies on them; ``identity_index``
-    is the first element within _CLOSURE_TOL of the identity map.
+    ``form`` optionally supplies an SPD matrix M = R R^T whose Cholesky
+    factor conjugates the linear parts to orthogonal ones, R^T g R^-T;
+    without it the linear parts must be orthogonal as given.  Closure,
+    inverses, and the identity are verified eagerly since everything
+    downstream relies on them; ``identity_index`` is the first element
+    within _CLOSURE_TOL of the identity map.
 
     Closure is checked on generators: the first element not yet reached
     from the identity becomes a generator t, one k-d tree query looks up
@@ -67,13 +68,16 @@ class FiniteGroup:
         if self.form is not None:
             form = np.asarray(self.form, dtype=float)
             object.__setattr__(self, "form", form)
-            form = 0.5 * (form + form.T)
-            if np.any(np.linalg.eigvalsh(form) <= 0.0):
-                raise ValueError("invariant form must be positive definite")
-            root, root_inv = symmetric_roots(form)
+            if not np.isfinite(form).all():
+                raise ValueError("invariant form must be finite")
+            try:
+                root = np.linalg.cholesky(0.5 * (form + form.T))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("invariant form must be positive definite") \
+                    from exc
         else:
-            root = root_inv = np.eye(n)
-        conj = root @ linears @ root_inv
+            root = np.eye(n)
+        conj = root.T @ linears @ np.linalg.inv(root).T
         if np.max(np.abs(conj.transpose(0, 2, 1) @ conj - np.eye(n))) \
                 > _CLOSURE_TOL:
             raise ValueError("group element is not an isometry")

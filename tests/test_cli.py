@@ -1,10 +1,14 @@
 """Command-line surface: JSON output, exit codes, input formats, plots."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import extremal_ellipsoids
 from extremal_ellipsoids import Unconverged, ce_slab, ie_slab, SlabSpec
 from extremal_ellipsoids.cli import main
 
@@ -28,6 +32,19 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_cli_starts_without_scipy_subpackages():
+    # every exell process pays for what importing the CLI loads; the bare
+    # scipy package is imported on purpose, none of its subpackages
+    root = str(Path(extremal_ellipsoids.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {root!r}); import scipy; "
+            "bare = set(sys.modules); import extremal_ellipsoids.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy') "
+            "and m not in bare))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +307,9 @@ def test_certify_input_validation(capsys, tmp_path):
 SQUARE_CE_PASS = (
     '{"contacts": [[1, 1], [1, -1], [-1, 1], [-1, -1]], "multipliers": '
     '[0.49999999999999983, 0.49999999999999989, 0.5, 0.50000000000000011], '
-    '"passed": true, "residuals": {"centroid_eq": 2.7755575615628914e-16, '
+    '"passed": true, "residuals": {"centroid_eq": 3.5327080320384938e-16, '
     '"contact_membership": 0, "feasibility": 0, '
-    '"matrix_eq": 5.5511151231257827e-17, "multiplier_sum": 0}}')
+    '"matrix_eq": 3.7590947707111659e-17, "multiplier_sum": 0}}')
 
 
 def _no_certificate(feasibility):
@@ -455,9 +472,9 @@ SYMMETRY_NAMED = (
     '-0.90000000000000002], [-0.40000000000000002, -0.90000000000000002]], '
     '"multipliers": [0.4145299145299145, 0.5854700854700855, '
     '0.27777777777777779, 0.41452991452991439, 0.30769230769230765], '
-    '"passed": true, "residuals": {"centroid_eq": 1.6843970387660844e-16, '
+    '"passed": true, "residuals": {"centroid_eq": 2.1088583252177744e-16, '
     '"contact_membership": 1.1102230246251565e-16, "feasibility": 0, '
-    '"matrix_eq": 1.1760940708540797e-16, "multiplier_sum": '
+    '"matrix_eq": 8.2045699616433525e-17, "multiplier_sum": '
     '2.2204460492503131e-16}}, "ellipsoid": {"center": [0, 0], "dim": 2, '
     '"shape": [[1.0309278350515463, 0], [0, 1.0309278350515463]]}, '
     '"invariant": true, "orbit": [[0.90000000000000002, '
@@ -472,11 +489,11 @@ SYMMETRY_EXPLICIT = (
     '"certificate": {"contacts": [[0.69999999999999996, 0], '
     '[4.286263797015736e-17, 0.69999999999999996], [-0.69999999999999996, '
     '8.572527594031472e-17], [-1.2858791391047207e-16, '
-    '-0.69999999999999996]], "multipliers": [0.49999999999999989, '
-    '0.49999999999999989, 0.49999999999999978, 0.50000000000000011], '
-    '"passed": true, "residuals": {"centroid_eq": 7.8504622934188758e-17, '
+    '-0.69999999999999996]], "multipliers": [0.49999999999999994, '
+    '0.49999999999999994, 0.49999999999999972, 0.50000000000000011], '
+    '"passed": true, "residuals": {"centroid_eq": 3.1401849173675503e-16, '
     '"contact_membership": 2.2204460492503131e-16, "feasibility": '
-    '2.2204460492503131e-16, "matrix_eq": 1.7912415656003583e-16, '
+    '2.2204460492503131e-16, "matrix_eq": 3.1401849173675498e-16, '
     '"multiplier_sum": 4.4408920985006262e-16}}, "ellipsoid": {"center": '
     '[-2.9951277046623466e-17, 2.7755575615628914e-17], "dim": 2, "shape": '
     '[[2.0408163265306127, -1.2496395909666874e-16], '
@@ -490,8 +507,8 @@ SYMMETRY_SHIFTED = (
     '-5], [0, 3], [0, -5]], "multipliers": [0.55357142857142838, '
     '0.44642857142857101, 0.42857142857142849, 0.12500000000000036, '
     '0.4464285714285714], "passed": true, "residuals": {"centroid_eq": '
-    '2.2204460492503131e-16, "contact_membership": 0, "feasibility": 0, '
-    '"matrix_eq": 2.0867467974864571e-16, "multiplier_sum": '
+    '1.0874739515221724e-16, "contact_membership": 0, "feasibility": 0, '
+    '"matrix_eq": 1.7567149044104223e-16, "multiplier_sum": '
     '2.2204460492503131e-16}}, "ellipsoid": {"center": [3, -1], "dim": 2, '
     '"shape": [[0.040000000000000001, 0], [0, 0.040000000000000001]]}, '
     '"invariant": true, "orbit": [[7, 2], [7, -4], [-1, 2], [-1, -4], [6, '

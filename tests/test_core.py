@@ -72,6 +72,27 @@ def test_non_finite_shape_rejected():
         Ellipsoid(np.zeros(2), np.diag([1.0, math.inf]))
 
 
+def test_factor_must_be_square_finite_and_nonsingular():
+    for bad in (np.ones((2, 3)), np.eye(3), np.diag([1.0, math.nan]),
+                np.diag([1.0, math.inf]), np.array([[1.0, 2.0], [2.0, 4.0]])):
+        with pytest.raises(InvalidEllipsoid):
+            Ellipsoid.from_factor(np.zeros(2), bad)
+
+
+def test_factor_and_shape_forms_agree():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5):
+        e = Ellipsoid(rng.standard_normal(n), _rand_spd(rng, n))
+        f = e.factor()
+        np.testing.assert_allclose(f @ f.T @ e.shape, np.eye(n), atol=1e-12)
+        g = Ellipsoid.from_factor(e.center, f @ np.linalg.qr(
+            rng.standard_normal((n, n)))[0])  # F Q is a factor of E too
+        np.testing.assert_allclose(g.shape, e.shape, rtol=1e-12, atol=1e-12)
+        assert volume(g) == pytest.approx(volume(e), rel=1e-12)
+        with pytest.raises(AttributeError):
+            g.center = np.zeros(n)
+
+
 # ---------------------------------------------------------------------------
 # Volume.
 

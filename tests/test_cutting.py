@@ -160,6 +160,24 @@ def test_cut_matches_the_general_slab_reduction(n):
             assert record.ratio == pytest.approx(ratio, rel=1e-12)
 
 
+def test_cuts_make_no_factorization(monkeypatch):
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((5, 5))
+    e = Ellipsoid(rng.standard_normal(5), m @ m.T + 5.0 * np.eye(5))
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda x: calls.append(1) or cholesky(x))
+    for k in range(50):
+        p = rng.standard_normal(5)
+        if k % 2:
+            e, _ = central_cut_step(e, p, k)
+        else:
+            g = float(np.linalg.norm(p @ e.factor()))
+            e, _ = parallel_cut_step(e, p, -0.5 * g, 0.3 * g, k)
+    assert calls == []
+
+
 @given(st.floats(-1.1, 0.95), st.floats(-0.95, 1.1),
        st.floats(0.0, 2.0 * math.pi))
 def test_cut_never_grows_and_keeps_the_piece(a, b, theta):

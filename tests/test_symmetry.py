@@ -119,6 +119,14 @@ def test_group_accepts_isometries_of_a_quadratic_form():
     assert len(g) == 4 and g.dim == 2
     with pytest.raises(ValueError, match="positive definite"):
         FiniteGroup(maps, form=np.diag([4.0, -1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        FiniteGroup(maps, form=np.diag([4.0, math.nan]))
+    # a sheared conjugate preserves the non-diagonal form A^T A
+    shear = np.array([[2.0, 1.0], [0.0, 1.0]])
+    mats = [np.linalg.solve(shear, _rotation(k * math.pi / 2.0)) @ shear
+            for k in range(4)]
+    sheared = tuple(AffineMap(m, np.zeros(2)) for m in mats)
+    assert len(FiniteGroup(sheared, form=shear.T @ shear)) == 4
 
 
 # ---------------------------------------------------------------------------
