@@ -323,19 +323,27 @@ def polytope_is_bounded(p: Polytope) -> bool:
     """Whether a nonempty {x : Ax <= b} is bounded, in two LPs.
 
     A feasibility LP rejects an empty body; the body is then bounded iff
-    rank A = n and some y >= 1 has A^T y = 0 (Stiemke's alternative: no
-    x != 0 has Ax <= 0).  A V-form body is bounded.
+    its normals span no recession direction.  A V-form body is bounded.
     """
     from scipy.optimize import linprog
 
     if p.is_vform:
         return True
-    a = np.asarray(p.normals, dtype=float)
-    m, n = a.shape
-    res = linprog(np.zeros(n), A_ub=a, b_ub=p.offsets,
+    n = p.dim
+    res = linprog(np.zeros(n), A_ub=p.normals, b_ub=p.offsets,
                   bounds=[(None, None)] * n, method="highs")
     if not res.success:
         raise EmptyBody("polytope is infeasible")
+    return bounded_by_normals(p.normals)
+
+
+def bounded_by_normals(a: np.ndarray) -> bool:
+    """Whether every nonempty {x : Ax <= b} is bounded, in one LP: iff
+    rank A = n and some y >= 1 has A^T y = 0 (Stiemke's alternative: no
+    x != 0 has Ax <= 0)."""
+    from scipy.optimize import linprog
+
+    m, n = a.shape
     if np.linalg.matrix_rank(a) < n:
         return False
     res = linprog(np.zeros(m), A_eq=a.T, b_eq=np.zeros(n),

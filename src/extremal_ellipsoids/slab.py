@@ -15,12 +15,11 @@ converts either form into an ``Ellipsoid``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AffineMap, Ellipsoid, cholesky_spd, map_ellipsoid,
-                   unit_directions)
+from .core import AffineMap, Ellipsoid, map_ellipsoid, unit_directions
 from .errors import DegenerateInput, EmptyBody, InvalidEllipsoid
 
 # Case-dispatch guards. A nearly-symmetric interval is routed to the
@@ -107,13 +106,18 @@ class AxialEllipsoidParams:
 
 @dataclass(frozen=True, eq=False)
 class GeneralSlab:
-    """Slice of a general ellipsoid: {x in E(X0, c0) : lo <= <p, x-c0> <= hi}."""
+    """Slice of a general ellipsoid: {x in E(X0, c0) : lo <= <p, x-c0> <= hi}.
+
+    ``ellipsoid`` is E(X0, c0), built once, which validates X0 and holds
+    its factor.
+    """
 
     shape0: np.ndarray
     center0: np.ndarray
     normal: np.ndarray
     lo: float
     hi: float
+    ellipsoid: Ellipsoid = field(init=False, repr=False)
 
     def __post_init__(self):
         x0 = np.atleast_2d(np.asarray(self.shape0, dtype=float))
@@ -122,7 +126,7 @@ class GeneralSlab:
         object.__setattr__(self, "shape0", x0)
         object.__setattr__(self, "center0", c0)
         object.__setattr__(self, "normal", p)
-        cholesky_spd(x0)
+        object.__setattr__(self, "ellipsoid", Ellipsoid(c0, x0))
         if not np.linalg.norm(p) > 0.0:
             raise ValueError("slab normal must be nonzero")
         if not self.lo < self.hi:
@@ -142,7 +146,7 @@ def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
     beta^2 >= alpha^2 forces the reflection x_1 -> -x_1, the reflection is
     composed into ``m`` and recorded in ``spec.reflected``.
     """
-    factor = Ellipsoid(g.center0, g.shape0).factor()
+    factor = g.ellipsoid.factor()
     q = g.normal @ factor  # F^T p
     qn = float(np.linalg.norm(q))
     alpha = g.lo / qn

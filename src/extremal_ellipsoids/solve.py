@@ -19,9 +19,10 @@ certificate, which is checked before the result is returned.
 ``grid_oracle_slab``: exhaustive search over axial ellipsoids of a slab or
 truncated cone against sampled feasibility constraints; the independent
 reference for the closed forms.  The center tau is found by one zooming
-grid, 17 values of tau per step narrowed to the neighbours of the best;
-per tau, the inner (a, b) problem is a golden section of 70 steps that
-evaluates its objective once per step.
+grid, 17 values of tau per step narrowed to the neighbours of the best.
+Per tau, the inner (a, b) problem is linear in the coefficients, and it is
+solved exactly through its two-variable Lagrange dual, a maximum over the
+hull of m points on a parabola: one O(m) pass over the hull edges.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import fritz_john_residuals, pruned_certificate
-from .core import Ellipsoid, Polytope, chebyshev_center, polytope_is_bounded
-from .errors import DegenerateInput, InvalidBody, Unconverged
+from .core import Ellipsoid, Polytope, bounded_by_normals, chebyshev_center
+from .errors import DegenerateInput, InvalidBody, InvalidEllipsoid, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# grid oracle: tau values per zoom step, and golden-section steps of the
-# inner (a, b) search, about 1e-13 relative over its log bracket
+# grid oracle: tau values per zoom step
 _ZOOM_POINTS = 17
-_INNER_STEPS = 70
 # MVIE Newton steps before Unconverged; seeded test and benchmark bodies
 # (n <= 12, m <= 150) take at most 30
 _NEWTON_BUDGET = 200
@@ -292,7 +290,9 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     """
     if h.is_vform:
         raise InvalidBody("mvie needs an H-form polytope")
-    if not polytope_is_bounded(h):
+    # boundedness is read from the normals alone, and chebyshev_center
+    # rejects an empty body: a body both empty and unbounded is InvalidBody
+    if not bounded_by_normals(h.normals):
         raise InvalidBody("polytope is unbounded")
     scale = np.linalg.norm(h.normals, axis=1)
     if np.any(scale == 0.0):
@@ -324,98 +324,57 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
 # ---------------------------------------------------------------------------
 # Grid oracle for slabs and cones.
 
-def _golden_max_log(f, lo, hi, iters):
-    """Vectorized golden-section max of f over [lo, hi], in log coordinates.
+def _hull_inner(tau, sample, n, planes=None):
+    """Best (a, b) and objective log a + (n-1) log b per tau.
 
-    ``f`` maps a positive vector to objective values; unimodality is
-    preserved under the monotone reparameterization.  Each step keeps one
-    interior point and its value, so it evaluates ``f`` once (Kiefer 1953):
-    ``iters + 3`` evaluations in all.
+    CE and CONE (``planes`` None) keep the sphere points x_1 = y_j inside
+    the shape (a, b): a (y_j - tau)^2 + b (1 - y_j^2) <= 1.  IE
+    (``planes = (alpha, beta)``) keeps the semi-axes (a, b) inside the
+    tangent halfspaces of the ball with normal u_1 = c_j, where the support
+    function reads a^2 c_j^2 + b^2 (1 - c_j^2) <= (1 - tau c_j)^2, and
+    between the slab planes, a <= min(tau - alpha, beta - tau).  Either way
+    the rows read A p_j + B q_j <= 1 for the maximum of log A + (n-1) log B.
+    Its Lagrange dual maximizes log P + (n-1) log Q over the hull of the
+    points (p_j, q_j), and the optimum is A = 1/(nP), B = (n-1)/(nQ).  Both
+    p and q are quadratics in one parameter monotone in the sample (y_j, or
+    1/(1 - tau c_j)), so the points lie on a parabola in sample order, or on
+    the segment p + q = 1 when tau = 0; the consecutive pairs and the
+    closing chord then cover every hull edge, and the optimum is a vertex
+    or the stationary point of an edge, in closed form.  An IE optimum past
+    the cap moves to the cap, with B the least over the rows.
     """
-    llo = np.log(lo)
-    lhi = np.log(hi)
-    x1 = lhi - _GOLDEN * (lhi - llo)
-    x2 = llo + _GOLDEN * (lhi - llo)
-    f1 = f(np.exp(x1))
-    f2 = f(np.exp(x2))
-    for _ in range(iters):
-        low = f1 >= f2
-        llo = np.where(low, llo, x1)
-        lhi = np.where(low, x2, lhi)
-        new = np.where(low, lhi - _GOLDEN * (lhi - llo),
-                       llo + _GOLDEN * (lhi - llo))
-        f_new = f(np.exp(new))
-        x1, x2 = np.where(low, new, x2), np.where(low, x1, new)
-        f1, f2 = np.where(low, f_new, f2), np.where(low, f1, f_new)
-    mid = np.exp(0.5 * (llo + lhi))
-    return mid, f(mid)
-
-
-def _ce_inner(tau, y, n, iters):
-    """Best (a, b) and objective per tau against sampled CE constraints.
-
-    Constraints a (y_j - tau)^2 + b (1 - y_j^2) <= 1 are linear in (a, b);
-    for fixed b the best a is a closed-form min over rows, and the profile
-    in b is log-concave, so a golden section over b is exact.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    p = (y[None, :] - tau[:, None]) ** 2
-    q = np.maximum(1.0 - y ** 2, 0.0)[None, :]
-    p_ok = p > 1e-30
-    q_ok = q > 1e-30
-    with np.errstate(divide="ignore"):
-        b_upper = np.min(np.where(q_ok, 1.0 / q, np.inf), axis=1)
-    b_upper = np.minimum(b_upper, 1e12) * (1.0 - 1e-12)
-
-    def best_a(b):
-        rhs = 1.0 - b[:, None] * q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(p_ok, rhs / p, np.inf)
-        return np.min(ratio, axis=1)
-
-    def value(b):
-        a = best_a(b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(a > 0.0,
-                            np.log(np.maximum(a, 1e-300)) + (n - 1) * np.log(b),
-                            -np.inf)
-
-    lo = np.full(tau.shape, 1e-9)
-    b_best, f_best = _golden_max_log(value, lo, b_upper, iters)
-    return best_a(b_best), b_best, f_best
-
-
-def _ie_inner(tau, v, alpha, beta, n, iters):
-    """Best semi-axes (a, b) per tau against sampled IE ball constraints.
-
-    For fixed a the transverse semi-axis satisfies
-    b^2 <= ((1 - (tau + a v_j)^2)/(1 - v_j^2)) per sample; the profile in a
-    is log-concave.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    q = np.maximum(1.0 - v ** 2, 0.0)[None, :]
-    q_ok = q > 1e-30
-    a_cap = np.minimum(tau - alpha, beta - tau) * (1.0 - 1e-12)
-
-    def best_b2(a):
-        x1 = tau[:, None] + a[:, None] * v[None, :]
-        num = 1.0 - x1 ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(q_ok, num / q, np.inf)
-        return np.min(ratio, axis=1)
-
-    def value(a):
-        b2 = best_b2(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(b2 > 0.0,
-                            np.log(a) + 0.5 * (n - 1)
-                            * np.log(np.maximum(b2, 1e-300)),
-                            -np.inf)
-
-    lo = np.full(tau.shape, 1e-12)
-    hi = np.maximum(a_cap, 2e-12)
-    a_best, f_best = _golden_max_log(value, lo, hi, iters)
-    return a_best, np.sqrt(np.maximum(best_b2(a_best), 0.0)), f_best
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 - sample ** 2
+        if planes is None:
+            p = (sample - tau) ** 2
+            q = np.broadcast_to(q, p.shape)
+        else:
+            scale = (1.0 - tau * sample) ** -2.0
+            p, q = sample ** 2 * scale, q * scale
+        # the edge from each point to the next, the last one closing the hull
+        dp = np.roll(p, -1, axis=1) - p
+        dq = np.roll(q, -1, axis=1) - q
+        t = -(dp * q + (n - 1) * dq * p) / (n * dp * dq)
+        t = np.where(dp * dq < 0.0, np.clip(t, 0.0, 1.0), 0.0)
+        big_p, big_q = p + t * dp, q + t * dq
+        k = np.argmax(np.log(big_p) + (n - 1) * np.log(big_q), axis=1)
+        rows = np.arange(k.size)
+        a = 1.0 / (n * big_p[rows, k])
+        b = (n - 1) / (n * big_q[rows, k])
+        if planes is not None:
+            cap = np.maximum(np.minimum(tau[:, 0] - planes[0],
+                                        planes[1] - tau[:, 0]), 0.0) ** 2
+            b_cap = np.min(np.where(q > 0.0, (1.0 - cap[:, None] * p) / q,
+                                    np.inf), axis=1)
+            a, b = np.minimum(a, cap), np.where(a > cap, b_cap, b)
+        f = np.log(a) + (n - 1) * np.log(b)
+    if planes is not None:
+        # nothing fits a center on or past a plane, where at |tau| = 1 the
+        # rows themselves are undefined
+        f = np.where(cap > 0.0, f, -np.inf)
+        a, b = np.sqrt(a), np.sqrt(b)
+    return a, b, f
 
 
 def _zoom_tau(inner, sample, lo, hi, width):
@@ -436,16 +395,21 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
                      ) -> AxialEllipsoidParams:
     """Brute-force axial-ellipsoid search used as an independent reference.
 
-    ``problem`` is "CE", "IE", or "CONE".  The feasibility sample along the
-    axial coordinate uses ``resolution`` points (endpoints included).  The
-    center tau is found by a zooming grid: 17 values of tau at a time,
-    narrowed to the neighbours of the best until the bracket is
-    2e-8 (beta - alpha) wide.  Per tau, the inner (a, b) subproblem is
-    solved by a golden section of 70 steps over one coefficient, with the
-    other given in closed form against the sampled constraints.
-    When a contact falls between samples, it is added to the sample and tau
-    is searched again near the last one.  The cone variant checks
-    feasibility on the two rim circles only.
+    ``problem`` is "CE", "IE", or "CONE".  The sample is ``resolution``
+    values of x_1 evenly spaced on [alpha, beta] (endpoints included).  CE
+    keeps the sphere points at those x_1 inside the ellipsoid; CONE keeps
+    the two rim circles only.  IE keeps the ellipsoid between the slab
+    planes and inside the ball's tangent halfspaces at those x_1: with the
+    planes, they are the slab's supporting halfspaces, since every contact
+    with the sphere lies in the slab.  The center tau is found by a zooming
+    grid: 17 values of tau at a time, narrowed to the neighbours of the
+    best until the bracket is 2e-8 (beta - alpha) wide.  Per tau, the best
+    (a, b) against the sampled constraints is exact, from the Lagrange dual
+    over the hull of the constraint rows (``_hull_inner``).  When a contact
+    falls between samples, it is added to the sample and tau is searched
+    again near the last one.  A slab too thin for ``resolution`` distinct
+    samples (width below about ``resolution`` ulps) raises
+    InvalidEllipsoid.
     """
     problem = problem.upper()
     if problem not in ("CE", "IE", "CONE"):
@@ -454,14 +418,13 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
         raise ValueError("resolution must be at least 64")
     n = s.n
     alpha, beta = s.alpha, s.beta
-    if problem in ("CE", "CONE"):
-        sample = (np.linspace(alpha, beta, resolution) if problem == "CE"
-                  else np.array([alpha, beta]))
-        inner = lambda tau, smp: _ce_inner(tau, smp, n, _INNER_STEPS)
-    else:
-        sample = np.linspace(-1.0, 1.0, resolution)
-        inner = lambda tau, smp: _ie_inner(tau, smp, alpha, beta, n,
-                                           _INNER_STEPS)
+    sample = (np.array([alpha, beta]) if problem == "CONE"
+              else np.linspace(alpha, beta, resolution))
+    planes = (alpha, beta) if problem == "IE" else None
+    if np.any(np.diff(sample) <= 0.0):
+        raise InvalidEllipsoid(f"slab [{alpha!r}, {beta!r}] is too thin for "
+                               f"{resolution} distinct samples")
+    inner = lambda tau, smp: _hull_inner(tau, smp, n, planes)
 
     margin = 1e-9 * (beta - alpha)
     lo, hi = alpha + margin, beta - margin
@@ -492,10 +455,9 @@ def _worst_sample(problem, tau, a, b, alpha, beta):
             return None
         vertex = a * tau / (a - b)
         return float(np.clip(vertex, alpha, beta))
-    # IE: |x|^2 along the ellipse peaks inside only when b > a
-    if b <= a:
+    # IE: the support excess a^2 c^2 + b^2 (1 - c^2) - (1 - tau c)^2 over
+    # the normal's axial part c peaks inside only when it is concave
+    curve = b * b + tau * tau - a * a
+    if curve <= 0.0:
         return None
-    vertex = a * tau / (b * b - a * a)
-    if abs(vertex) >= 1.0:
-        return None
-    return float(vertex)
+    return float(np.clip(tau / curve, alpha, beta))

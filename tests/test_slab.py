@@ -347,6 +347,23 @@ def test_normalize_identity_slab():
     np.testing.assert_allclose(m.offset, np.zeros(2), atol=1e-14)
 
 
+def test_normalize_factors_the_shape_once(monkeypatch):
+    # the slab validates its shape through the ellipsoid it holds, and
+    # normalize reads that ellipsoid's factor
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(x):
+        calls.append(1)
+        return cholesky(x)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    shape0 = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    normalize(GeneralSlab(shape0, np.ones(3), np.array([1.0, -1.0, 2.0]),
+                          -0.3, 0.6))
+    assert len(calls) == 1
+
+
 def test_normalize_scaled_ball():
     # ball of radius 1/2: the cut direction rescales and so do the bounds
     g = GeneralSlab(4.0 * np.eye(2), np.zeros(2), np.array([1.0, 0.0]),

@@ -33,7 +33,7 @@ from extremal_ellipsoids import (
     unit_ball_volume,
     volume,
 )
-from extremal_ellipsoids.solve import _dedup_rows, _golden_max_log
+from extremal_ellipsoids.solve import _dedup_rows, _hull_inner
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -461,32 +461,90 @@ def test_mvie_rejects_unbounded_and_empty_bodies():
                      offsets=np.array([1.0, 1.0, -2.0, 1.0]))
     with pytest.raises(EmptyBody):
         mvie_polytope(empty)
+    # boundedness is checked first: an empty strip is unbounded
+    empty_strip = Polytope(normals=np.array([[0.0, 1.0], [0.0, -1.0]]),
+                           offsets=np.array([-1.0, -1.0]))
+    with pytest.raises(InvalidBody):
+        mvie_polytope(empty_strip)
+
+
+def test_mvie_runs_two_lps(monkeypatch):
+    # the recession LP and the Chebyshev center; no feasibility LP
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    e, _ = mvie_polytope(_hcube(3))
+    assert len(calls) == 2
+    assert np.allclose(e.shape, np.eye(3))
 
 
 # ---------------------------------------------------------------------------
 # Grid oracle.
 
-def test_golden_section_finds_kinked_maxima_with_one_evaluation_per_step():
-    # log-concave profiles with a kink at m, the form the oracle's inner
-    # profiles take where a sampled constraint binds; on half the rows the
-    # objective is -inf from 1.5 m to the top of the bracket
-    rng = np.random.default_rng(7)
-    rows = 200
-    m = np.exp(rng.uniform(np.log(1e-5), np.log(5.0), rows))
-    edge = np.where(np.arange(rows) % 2 == 0, 1.5 * m, np.inf)
-    calls = []
+def _brute_force_inner(p, q, n, cap=math.inf):
+    """Best log A + (n-1) log B over A p_j + B q_j <= 1 and A <= cap: the
+    best A is a min over rows for each B on a dense log grid, and a second
+    grid spans the neighbours of the best B (the profile is concave)."""
+    def best(b):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.min(np.where(p > 0.0, (1.0 - b[:, None] * q) / p, np.inf),
+                       axis=1)
+            a = np.minimum(a, cap)
+            return np.where(a > 0.0, np.log(a) + (n - 1) * np.log(b), -np.inf)
 
-    def f(x):
-        calls.append(1)
-        r = np.log(x / m)
-        return np.where(x < edge, np.minimum(r, -3.0 * r), -np.inf)
+    b = np.geomspace(1e-9, 1.0 / np.max(q), 20_001)
+    k = int(np.argmax(best(b)))
+    b = np.linspace(b[max(k - 1, 0)], b[min(k + 1, b.size - 1)], 20_001)
+    return float(np.max(best(b)))
 
-    iters = 70
-    best, value = _golden_max_log(f, np.full(rows, 1e-6), np.full(rows, 10.0),
-                                  iters)
-    assert np.max(np.abs(best / m - 1.0)) <= 1e-12
-    assert np.all(np.isfinite(value))
-    assert len(calls) == iters + 3
+
+@pytest.mark.parametrize("problem, n, tau, sample, planes, capped", [
+    ("CE", 3, 0.35, np.linspace(0.1, 0.9, 64), None, False),
+    ("CE", 2, -0.1, np.linspace(-1.0, 0.7, 64), None, False),
+    # tau = 0: every point (y^2, 1 - y^2) on the segment p + q = 1, with
+    # the optimum P = 1/n inside it
+    ("CE", 5, 0.0, np.linspace(-0.5, 0.5, 64), None, False),
+    ("CONE", 3, 0.4, np.array([0.2, 0.9]), None, False),
+    ("CONE", 2, -0.2, np.array([-1.0, 0.5]), None, False),
+    ("IE", 3, 0.5, np.linspace(-1.0, 1.0, 64), (-1.0, 1.0), False),
+    ("IE", 2, -0.3, np.linspace(-1.0, 0.9, 64), (-1.0, 0.9), False),
+    # the center sits 0.05 above the lower plane, so a hits the cap
+    ("IE", 3, 0.05, np.linspace(0.0, 0.3, 64), (0.0, 0.3), True),
+])
+def test_hull_inner_is_exact_and_feasible(problem, n, tau, sample, planes,
+                                          capped):
+    a, b, f = (v[0] for v in _hull_inner(np.array([tau]), sample, n, planes))
+    if planes is None:
+        p, q = (sample - tau) ** 2, np.maximum(1.0 - sample ** 2, 0.0)
+        big_a, big_b, cap = a, b, math.inf
+    else:
+        scale = (1.0 - tau * sample) ** -2.0
+        p, q = sample ** 2 * scale, (1.0 - sample ** 2) * scale
+        big_a, big_b = a * a, b * b
+        cap = min(tau - planes[0], planes[1] - tau) ** 2
+        assert big_a <= cap * (1.0 + 1e-12)
+        assert (big_a == cap) == capped
+    assert np.max(big_a * p + big_b * q) <= 1.0 + 1e-12
+    assert f == pytest.approx(math.log(big_a) + (n - 1) * math.log(big_b),
+                              abs=1e-12)
+    # the grid gets within 2e-7 of the exact value and never above it
+    brute = _brute_force_inner(p, q, n, cap)
+    assert brute - 1e-12 <= f <= brute + 1e-6
+
+
+def test_hull_inner_fits_nothing_at_a_center_on_or_past_a_plane():
+    # at tau = 1 the row of c = 1 divides 0 by 0
+    _, _, f = _hull_inner(np.array([0.95, 0.9, 1.0, 1.01]),
+                          np.linspace(0.9, 1.0, 64), 3, (0.9, 1.0))
+    assert np.isfinite(f[0])
+    assert np.all(f[1:] == -np.inf)
 
 
 def test_oracle_validates_inputs():
@@ -497,6 +555,19 @@ def test_oracle_validates_inputs():
     # a slab a few ulps wide drives the inner search to a = inf
     with pytest.raises(InvalidEllipsoid):
         grid_oracle_slab(SlabSpec(2, 0.5, 0.5 + 1e-15), "CE")
+
+
+def test_oracle_rejects_a_slab_too_thin_for_distinct_samples():
+    # 512 samples over a width of 1e-14 near 0.5 repeat values, and then
+    # the samples no longer pin the transverse coefficient b; widths up to
+    # 511 ulps, about 5.7e-14 here, are rejected
+    with pytest.raises(InvalidEllipsoid):
+        grid_oracle_slab(SlabSpec(2, 0.5, 0.5 + 1e-14), "CE")
+    s = SlabSpec(2, 0.5, 0.5 + 1e-6)
+    p, q = grid_oracle_slab(s, "CE"), ce_slab(s)
+    assert abs(p.tau - q.tau) <= 1e-4 * (s.beta - s.alpha)
+    assert abs(p.a / q.a - 1.0) <= 1e-4
+    assert abs(p.b - q.b) <= 1e-4
 
 
 def test_oracle_recovers_deep_slab_ball():
