@@ -4,8 +4,11 @@
 ascent on the lifted dual (q_i = (x_i, 1), weights w) over all the points,
 with no hull prefilter: Frank-Wolfe and away steps of closed-form size,
 each updating M(w)^-1 and kappa_i = q_i^T M^-1 q_i by Sherman-Morrison in
-O(mn).  Only kappa recomputed from w may end the loop; a Newton polish on
-the support then reaches certification accuracy.
+O(mn).  Only kappa recomputed from w may end the loop.  Once that exact
+gap reaches 1e-3 the support has, as a rule, settled: a Newton polish on
+it takes the weights to the optimum over that support and the gap is read
+again.  First-order steps resume only if a point off the support still
+holds it up, with another polish each time the gap falls tenfold.
 
 ``mvie_polytope``: maximum-volume ellipsoid {c + L u : |u| <= 1} inside an
 H-polytope, by one primal-dual Newton method on (c, L, lambda) over all
@@ -44,10 +47,21 @@ _ZOOM_POINTS = 17
 _NEWTON_BUDGET = 200
 # MVEE weights above this are the support of the Newton polish
 _SUPPORT_TOL = 1e-9
+# MVEE: the exact gap at which the support is taken as settled and polished,
+# and the share of the gap at the last polish that triggers the next one
+_POLISH_GAP = 1e-3
+_POLISH_AGAIN = 0.1
+# MVEE polish stop: max |kappa_i - d| at most this times cond(M) d, ten
+# machine epsilons, the rounding floor of kappa
+_KAPPA_FLOOR = 10.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """``eps``: the stopping gap or tolerance.  ``max_iter``: the step
+    budget; for ``mvee_points`` it counts first-order steps only, not the
+    Newton steps of its polish."""
+
     eps: float = 1e-7
     max_iter: int = 100_000
 
@@ -78,7 +92,7 @@ def _inverse_design(lifted: np.ndarray, w: np.ndarray):
         minv = np.linalg.inv((lifted.T * w) @ lifted)
     except np.linalg.LinAlgError as exc:
         raise DegenerateInput("weight iterate lost full rank") from exc
-    return minv, np.einsum("ij,jk,ik->i", lifted, minv, lifted, optimize=True)
+    return minv, np.einsum("ij,ij->i", lifted @ minv, lifted)
 
 
 def _start_weights(points: np.ndarray, lifted: np.ndarray) -> np.ndarray:
@@ -105,9 +119,14 @@ def _step(kappa: np.ndarray, w: np.ndarray, d: int):
 
 def _newton_polish_weights(pts_lifted: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
-    """Solve kappa_i(w) = n+1 on the support by damped Newton steps."""
+    """Solve kappa_i(w) = n+1 on the support by damped Newton steps.
+
+    The steps stop once max |kappa_i - d| is at most 10 eps cond(M) d, the
+    rounding floor of kappa, or once that residual no longer falls; the
+    weights with the smallest residual are returned.
+    """
     d = pts_lifted.shape[1]
-    w = w.copy()
+    best, best_resid = w, math.inf
     for _ in range(60):
         support = np.flatnonzero(w > _SUPPORT_TOL)
         q = pts_lifted[support]
@@ -116,7 +135,12 @@ def _newton_polish_weights(pts_lifted: np.ndarray,
         except DegenerateInput:
             break
         resid = kappa - d
-        if np.max(np.abs(resid)) < 1e-13 * d:
+        size = float(np.max(np.abs(resid)))
+        if size >= best_resid:
+            break
+        best, best_resid = w, size
+        # cond(M^-1) = cond(M)
+        if size <= _KAPPA_FLOOR * np.linalg.cond(minv) * d:
             break
         cross = q @ minv @ q.T  # entries q_i^T M^-1 q_j
         jac = -cross ** 2
@@ -129,8 +153,8 @@ def _newton_polish_weights(pts_lifted: np.ndarray,
             scale = min(1.0, 0.95 * worst) if worst < 1.0 else 1.0
         w = np.zeros_like(w)
         w[support] = np.maximum(w_sup + scale * step, 0.0)
-    total = w.sum()
-    return w / total if total > 0.0 else w
+    total = best.sum()
+    return best / total if total > 0.0 else best
 
 
 def mvee_points(points, cfg: SolverConfig = SolverConfig()):
@@ -150,12 +174,19 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
 
     w = _start_weights(pts, lifted)
     minv, kappa = _inverse_design(lifted, w)
+    polish_at = _POLISH_GAP
     for _ in range(cfg.max_iter):
         gap, j = _step(kappa, w, d)
-        if gap <= cfg.eps:
+        if gap <= max(cfg.eps, polish_at):
             # the updated kappa drifts; only kappa recomputed from w may stop
             minv, kappa = _inverse_design(lifted, w)
             gap, j = _step(kappa, w, d)
+            if cfg.eps < gap <= polish_at:
+                # the support has settled: Newton on it, then the exact gap
+                w = _newton_polish_weights(lifted, w)
+                minv, kappa = _inverse_design(lifted, w)
+                gap, j = _step(kappa, w, d)
+                polish_at = _POLISH_AGAIN * gap
             if gap <= cfg.eps:
                 break
         # maximize log det((1 - sigma) M + sigma q_j q_j^T), down to dropping
@@ -407,9 +438,9 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
     (a, b) against the sampled constraints is exact, from the Lagrange dual
     over the hull of the constraint rows (``_hull_inner``).  When a contact
     falls between samples, it is added to the sample and tau is searched
-    again near the last one.  A slab too thin for ``resolution`` distinct
-    samples (width below about ``resolution`` ulps) raises
-    InvalidEllipsoid.
+    again near the last one, within the slab.  A slab too thin for
+    ``resolution`` distinct samples (width below about ``resolution`` ulps)
+    raises InvalidEllipsoid.
     """
     problem = problem.upper()
     if problem not in ("CE", "IE", "CONE"):
@@ -439,7 +470,8 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
         if worst is None or np.min(np.abs(sample - worst)) < 1e-10:
             break
         sample = np.sort(np.append(sample, worst))
-        lo, hi = tau - radius, tau + radius
+        lo = max(tau - radius, alpha + margin)
+        hi = min(tau + radius, beta - margin)
     form = "axes" if problem == "IE" else "shape"
     return AxialEllipsoidParams(tau, a_val, b_val, n, form, "oracle")
 

@@ -33,7 +33,12 @@ from extremal_ellipsoids import (
     unit_ball_volume,
     volume,
 )
-from extremal_ellipsoids.solve import _dedup_rows, _hull_inner
+from extremal_ellipsoids import solve
+from extremal_ellipsoids.solve import (
+    _dedup_rows,
+    _hull_inner,
+    _newton_polish_weights,
+)
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -167,15 +172,19 @@ def test_mvee_duality_roundtrip():
     assert np.max(np.abs(ball.shape - np.eye(2))) <= 1e-5
 
 
-@pytest.mark.parametrize("n", [10, 20])
-def test_mvee_high_dimensional_cloud_certifies_within_a_step_budget(n):
-    # seed 0 takes 1964 steps at n = 10 and 3892 at n = 20; over seeds
-    # 0-19 the counts run 909-5199 and 2433-4016
-    pts = np.random.default_rng(0).standard_normal((2000, n))
-    e, cert = mvee_points(pts, SolverConfig(max_iter=4000))
-    result = certify_ce(pts, e, tol=1e-8)
-    assert result.passed, result.residuals
-    assert cert.contacts.shape[0] <= n * (n + 3) // 2
+@pytest.mark.parametrize("n, max_iter", [(10, 900), (20, 1500)],
+                         ids=["10", "20"])
+def test_mvee_high_dimensional_cloud_certifies_within_a_step_budget(
+        n, max_iter):
+    # with a Newton polish once the support settles, seeds 0-19 take
+    # 174-688 first-order steps at n = 10 and 604-930 at n = 20 (one BLAS
+    # thread); first-order steps alone took 907-5197 and 2431-4014
+    for seed in range(20):
+        pts = np.random.default_rng(seed).standard_normal((2000, n))
+        e, cert = mvee_points(pts, SolverConfig(max_iter=max_iter))
+        result = certify_ce(pts, e, tol=1e-8)
+        assert result.passed, (seed, result.residuals)
+        assert cert.contacts.shape[0] <= n * (n + 3) // 2
 
 
 @pytest.mark.parametrize("name, dim, order", [
@@ -199,6 +208,24 @@ def test_mvee_orbit_images_are_solved_at_the_start(name, dim, order, seed):
     np.testing.assert_allclose(e.shape, known.shape,
                                rtol=0, atol=1e-10 * np.abs(known.shape).max())
     np.testing.assert_allclose(e.center, known.center, atol=1e-10)
+
+
+def test_mvee_polish_keeps_uniform_weights_on_an_orbit():
+    # uniform weights are optimal on an orbit, and kappa is exact only to
+    # its rounding floor, about eps cond(M): a polish that stops there
+    # leaves them uniform, one that steps on the noise spreads them
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
+        q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        t = AffineMap(q1 @ np.diag([1.0, 11.8, 140.0]) @ q2,
+                      rng.uniform(-1.0, 1.0, 3))
+        pts = t(np.array(orbit(named_group("signed-permutation", n=3), x)))
+        assert pts.shape[0] == 48
+        lifted = np.hstack([pts, np.ones((48, 1))])
+        w = _newton_polish_weights(lifted, np.full(48, 1.0 / 48))
+        assert np.max(np.abs(w - 1.0 / 48)) <= 1e-15, seed
 
 
 def test_mvee_builds_no_convex_hull(monkeypatch):
@@ -545,6 +572,27 @@ def test_hull_inner_fits_nothing_at_a_center_on_or_past_a_plane():
                           np.linspace(0.9, 1.0, 64), 3, (0.9, 1.0))
     assert np.isfinite(f[0])
     assert np.all(f[1:] == -np.inf)
+
+
+@pytest.mark.parametrize("alpha", [0.9998, 0.99999])
+def test_oracle_evaluates_tau_only_inside_the_slab(monkeypatch, alpha):
+    # on a cap thinner than the refinement radius, the bracket tau +- radius
+    # reached below alpha: 4 of 765 and 108 of 833 tau values before it
+    # was clipped to the slab
+    taus = []
+    hull_inner = solve._hull_inner
+
+    def counted(tau, *args):
+        taus.extend(np.atleast_1d(tau))
+        return hull_inner(tau, *args)
+
+    monkeypatch.setattr(solve, "_hull_inner", counted)
+    s = SlabSpec(2, alpha, 1.0)
+    oracle = grid_oracle_slab(s, "IE")
+    taus = np.array(taus)
+    assert taus.size > 0
+    assert np.count_nonzero((taus < alpha) | (taus > 1.0)) == 0
+    assert oracle.a == pytest.approx(ie_slab(s).a, rel=1e-4)
 
 
 def test_oracle_validates_inputs():
