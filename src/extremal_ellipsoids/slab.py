@@ -343,12 +343,10 @@ def ce_contact_points(s: SlabSpec, p: AxialEllipsoidParams) -> np.ndarray:
     slab additionally touches along the equator x_1 = 0.  A symmetric
     +-e_j frame per circle is enough for multiplier recovery.
     """
-    n = s.n
-    frame = _cross_frame(n)
-    pts = [_rim_points(n, s.alpha, frame), _rim_points(n, s.beta, frame)]
-    if p.case == "i" and s.alpha * s.beta + 1.0 / n < -BOUNDARY_TOL:
-        pts.append(_rim_points(n, 0.0, frame))
-    return np.vstack(pts)
+    pts = cone_contact_points(s, p)
+    if p.case == "i" and s.alpha * s.beta + 1.0 / s.n < -BOUNDARY_TOL:
+        pts = np.vstack([pts, _rim_points(s.n, 0.0, _cross_frame(s.n))])
+    return pts
 
 
 def cone_contact_points(s: SlabSpec, p: AxialEllipsoidParams) -> np.ndarray:

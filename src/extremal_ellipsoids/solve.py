@@ -60,7 +60,8 @@ _KAPPA_FLOOR = 10.0 * float(np.finfo(float).eps)
 class SolverConfig:
     """``eps``: the stopping gap or tolerance.  ``max_iter``: the step
     budget; for ``mvee_points`` it counts first-order steps only, not the
-    Newton steps of its polish."""
+    Newton steps of its polish.  ``mvie_polytope`` reads only ``max_iter``,
+    capped at 200 Newton steps, and ignores ``eps``."""
 
     eps: float = 1e-7
     max_iter: int = 100_000

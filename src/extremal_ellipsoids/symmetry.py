@@ -23,6 +23,46 @@ _ORBIT_TOL = 1e-9
 _INVARIANCE_TOL = 1e-9
 
 
+class _Lookup:
+    """Exact max-norm neighbour search among the rows of a table.
+
+    The rows are projected once onto a fixed direction r and sorted.  A
+    row within ``tol`` of a query in the max-norm projects within
+    tol |r|_1 of it, so a window of that half-width, widened by the
+    rounding of both projections, around each query's projection holds
+    every match; each hit in the window is then verified in the max-norm.
+    A query that matches a row is at most tol larger than the rows, which
+    bounds the rounding of its projection.
+    """
+
+    def __init__(self, rows: np.ndarray, tol: float):
+        self.rows, self.tol = rows, tol
+        # sin(1), ..., sin(d) are linearly independent over the rationals,
+        # so distinct rows of small-integer tables rarely share a projection
+        self.direction = np.sin(np.arange(1.0, rows.shape[1] + 1.0))
+        keys = rows @ self.direction
+        self.by_key = np.argsort(keys, kind="stable")
+        self.keys = keys[self.by_key]
+        # 4 d eps (max|row| + tol) |r|_1 covers the rounding of both
+        # projections and of the window bounds
+        self.slack = float(np.abs(self.direction).sum()) * (tol + 4.0 * (
+            rows.shape[1] * np.finfo(float).eps * (np.abs(rows).max() + tol)))
+
+    def index(self, queries: np.ndarray, message: str) -> np.ndarray:
+        """First row within tol of each query; ValueError(message) if none."""
+        proj = queries @ self.direction
+        lo = np.searchsorted(self.keys, proj - self.slack)
+        hits = np.searchsorted(self.keys, proj + self.slack, "right") - lo
+        q = np.repeat(np.arange(len(queries)), hits)
+        r = self.by_key[np.arange(len(q)) + (lo + hits - np.cumsum(hits))[q]]
+        near = np.abs(queries[q] - self.rows[r]).max(axis=1) <= self.tol
+        first = np.full(len(queries), len(self.rows))
+        np.minimum.at(first, q[near], r[near])
+        if np.any(first == len(self.rows)):
+            raise ValueError(message)
+        return first
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Finite collection of affine isometries, closed under the group laws.
@@ -31,16 +71,21 @@ class FiniteGroup:
     factor conjugates the linear parts to orthogonal ones, R^T g R^-T;
     without it the linear parts must be orthogonal as given.  Closure,
     inverses, and the identity are verified eagerly since everything
-    downstream relies on them; ``identity_index`` is the first element
-    within _CLOSURE_TOL of the identity map.
+    downstream relies on them, up to _CLOSURE_TOL in the max-norm over the
+    linear part and the offset, with offsets in units of 1 + max|offset|;
+    ``identity_index`` is the first element within that tolerance of the
+    identity map.
 
     Closure is checked on generators: the first element not yet reached
-    from the identity becomes a generator t, one k-d tree query looks up
+    from the identity becomes a generator t, one exact lookup (the element
+    table projected onto a fixed direction and sorted, a searchsorted
+    window around each product, every hit verified in the max-norm) finds
     every product g o t, and right multiplication by the generators so far
     extends the reached set.  A set with the identity and G o t in G for
     each t of a generating set T is a group, and each new generator at
     least doubles the reached subgroup, so the check costs at most
-    ceil(log2 |G|) queries of |G| products, plus one for the inverses.
+    ceil(log2 |G|) lookups of |G| products, plus one for the inverses; the
+    signed permutations of order 46 080 build in a few seconds.
     ``linears`` (|G|, n, n) and ``offsets`` (|G|, n) stack the elements.
     """
 
@@ -79,34 +124,29 @@ class FiniteGroup:
             root = np.eye(n)
         conj = root.T @ linears @ np.linalg.inv(root).T
         if np.max(np.abs(conj.transpose(0, 2, 1) @ conj - np.eye(n))) \
-                > _CLOSURE_TOL:
-            raise ValueError("group element is not an isometry")
+                > _CLOSURE_TOL or not np.isfinite(offsets).all():
+            raise ValueError("group element is not a finite isometry")
 
-        # the identity, every product and every inverse must be elements,
-        # up to _CLOSURE_TOL in the max-norm over linear part and offset
-        order = len(elements)
-        flat = np.hstack([linears.reshape(order, -1), offsets])
-        unit = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
-        ident = np.flatnonzero(np.max(np.abs(flat - unit), axis=1)
-                               <= _CLOSURE_TOL)
+        # the identity, every product and every inverse must be elements
+        unit = 1.0 + float(np.max(np.abs(offsets)))
+
+        def flat(lin, off):
+            return np.hstack([lin.reshape(len(lin), -1), off / unit])
+
+        lookup = _Lookup(flat(linears, offsets), _CLOSURE_TOL)
+        ident = np.flatnonzero(np.abs(lookup.rows - flat(
+            np.eye(n)[None], np.zeros((1, n)))).max(axis=1) <= _CLOSURE_TOL)
         if ident.size == 0:
             raise ValueError("identity element missing")
         object.__setattr__(self, "identity_index", int(ident[0]))
-
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(flat)
-        reached = np.zeros(order, dtype=bool)
+        reached = np.zeros(len(elements), dtype=bool)
         reached[self.identity_index] = True
         right = []  # right[k][i]: index of the element (element i) o t_k
         while not reached.all():
             t = int(np.argmin(reached))
-            prod = np.hstack([(linears @ linears[t]).reshape(order, -1),
-                              offsets + linears @ offsets[t]])
-            dist, index = tree.query(prod, p=np.inf)
-            if np.any(dist > _CLOSURE_TOL):
-                raise ValueError("group is not closed under composition")
-            right.append(index)
+            right.append(lookup.index(
+                flat(linears @ linears[t], offsets + linears @ offsets[t]),
+                "group is not closed under composition"))
             reached[t] = True
             # close under the generators so far: the subgroup they span
             size = 0
@@ -115,10 +155,8 @@ class FiniteGroup:
                 for step in right:
                     reached[step[reached]] = True
         inv_lin = np.linalg.inv(linears)
-        inverses = np.hstack([inv_lin.reshape(order, -1),
-                              -np.einsum("mij,mj->mi", inv_lin, offsets)])
-        if np.any(tree.query(inverses, p=np.inf)[0] > _CLOSURE_TOL):
-            raise ValueError("group is not closed under inversion")
+        lookup.index(flat(inv_lin, -np.einsum("mij,mj->mi", inv_lin, offsets)),
+                     "group is not closed under inversion")
 
     @property
     def dim(self) -> int:
@@ -141,25 +179,28 @@ def orbit(group: FiniteGroup, x) -> list:
 
     An image is dropped iff it lies within _ORBIT_TOL (max-norm) of an
     earlier kept image.  A repeat of an earlier image is always dropped, so
-    only first occurrences are candidates (a point fixed by all of G would
-    otherwise give |G|^2 / 2 near pairs); each round then settles every
-    candidate whose earlier neighbours are settled.
+    only first occurrences are candidates.  Two candidates that near lie in
+    one run of the sorted projection of the lookup, a run ending where two
+    consecutive projections are more than its window apart.  A candidate
+    alone in its run is kept, and the rule settles the candidates of each
+    longer run in index order: a point nearly fixed by all of G costs one
+    pass over its images, not |G|^2 / 2 near pairs.
     """
-    from scipy.spatial import cKDTree
-
     images = _images(group, x)
+    if not np.isfinite(images).all():
+        raise ValueError("orbit point must be finite")
     cand = images[np.sort(np.unique(images, axis=0, return_index=True)[1])]
-    pairs = cKDTree(cand).query_pairs(_ORBIT_TOL, p=np.inf,
-                                      output_type="ndarray")
-    earlier, later = pairs[:, 0], pairs[:, 1]
-    kept = np.zeros(len(cand), dtype=bool)
-    open_ = np.ones(len(cand), dtype=bool)
-    while open_.any():
-        open_[later[kept[earlier]]] = False
-        waiting = np.zeros_like(open_)
-        waiting[later[open_[earlier]]] = True
-        kept |= open_ & ~waiting
-        open_ &= waiting
+    lookup = _Lookup(cand, _ORBIT_TOL)
+    run = np.cumsum(np.diff(lookup.keys, prepend=-np.inf) > lookup.slack)
+    shared = np.bincount(run)[run] > 1
+    kept = (~shared)[np.argsort(lookup.by_key)]  # back to candidate order
+    for part in np.split(lookup.by_key[shared],
+                         np.flatnonzero(np.diff(run[shared])) + 1):
+        chosen = []
+        for i in np.sort(part):
+            if np.all(np.abs(cand[chosen] - cand[i]).max(axis=1) > _ORBIT_TOL):
+                chosen.append(i)
+        kept[chosen] = True
     return list(cand[kept])
 
 
@@ -208,45 +249,41 @@ def _linear_group(matrices) -> FiniteGroup:
     return FiniteGroup(tuple(AffineMap(m, zero) for m in matrices))
 
 
+def _signed_permutations(n: int) -> np.ndarray:
+    """(n! 2^n, n, n) matrices diag(s) P, s inner to the permutation P."""
+    perms = np.eye(n)[list(itertools.permutations(range(n)))]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    # adding 0.0 turns the products' -0.0 into the +0.0 diag(s) @ P gives
+    return (signs[None, :, :, None] * perms[:, None]).reshape(-1, n, n) + 0.0
+
+
+def _rotations(m: int) -> list:
+    if m < 1:
+        raise ValueError("order must be positive")
+    turns = [2.0 * math.pi * k / m for k in range(1, m)]
+    return [np.eye(2)] + [np.array([[math.cos(t), -math.sin(t)],
+                                    [math.sin(t), math.cos(t)]]) for t in turns]
+
+
 def permutation_group(n: int) -> FiniteGroup:
     """All n! coordinate permutations."""
-    eye = np.eye(n)
-    mats = [eye[list(p)].copy() for p in itertools.permutations(range(n))]
-    return _linear_group(mats)
+    return _linear_group(np.eye(n)[list(itertools.permutations(range(n)))])
 
 
 def signed_permutation_group(n: int) -> FiniteGroup:
     """Hyperoctahedral group: coordinate permutations with sign flips."""
-    eye = np.eye(n)
-    mats = []
-    for p in itertools.permutations(range(n)):
-        base = eye[list(p)]
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            mats.append(np.diag(signs) @ base)
-    return _linear_group(mats)
+    return _linear_group(_signed_permutations(n))
 
 
 def cyclic_group(m: int) -> FiniteGroup:
     """Planar rotations by multiples of 2*pi/m."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    mats = []
-    for k in range(m):
-        t = 2.0 * math.pi * k / m
-        mats.append(np.array([[math.cos(t), -math.sin(t)],
-                              [math.sin(t), math.cos(t)]]))
-    mats[0] = np.eye(2)
-    return _linear_group(mats)
+    return _linear_group(_rotations(m))
 
 
 def dihedral_group(m: int) -> FiniteGroup:
     """Planar rotations and reflections of a regular m-gon."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    flip = np.diag([1.0, -1.0])
-    rots = list(cyclic_group(m).elements)
-    mats = [g.linear for g in rots] + [g.linear @ flip for g in rots]
-    return _linear_group(mats)
+    rots = _rotations(m)
+    return _linear_group(rots + [r @ np.diag([1.0, -1.0]) for r in rots])
 
 
 def slab_symmetry_group(n: int, flip_axis: bool = False) -> FiniteGroup:
@@ -257,16 +294,12 @@ def slab_symmetry_group(n: int, flip_axis: bool = False) -> FiniteGroup:
     """
     if n < 2:
         raise ValueError("need dimension at least 2")
-    mats = []
     firsts = (1.0, -1.0) if flip_axis else (1.0,)
-    for g in signed_permutation_group(n - 1):
-        block = np.zeros((n, n))
-        block[1:, 1:] = g.linear
-        for eps in firsts:
-            mat = block.copy()
-            mat[0, 0] = eps
-            mats.append(mat)
-    return _linear_group(mats)
+    blocks = _signed_permutations(n - 1)
+    mats = np.zeros((len(blocks), len(firsts), n, n))
+    mats[:, :, 1:, 1:] = blocks[:, None]
+    mats[:, :, 0, 0] = firsts
+    return _linear_group(mats.reshape(-1, n, n))
 
 
 def named_group(name: str, n: int | None = None,

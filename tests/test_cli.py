@@ -465,6 +465,17 @@ def test_symmetry_at_order_3840(capsys, tmp_path):
     assert out["certificate"]["passed"] is True
 
 
+def test_symmetry_at_order_46080(capsys, tmp_path):
+    path = write_json(tmp_path, "sym6.json", {
+        "group": "signed-permutation", "dim": 6,
+        "x": [0.9, 0.7, 0.5, 0.3, 0.2, 0.1]})
+    code, out = run_json(capsys, "symmetry", "--input", path)
+    assert code == 0
+    assert len(out["orbit"]) == 46080
+    assert out["invariant"] is True
+    assert out["certificate"]["passed"] is True
+
+
 SYMMETRY_NAMED = (
     '{"center": [0, 0], "certificate": {"contacts": [[0.90000000000000002, '
     '0.40000000000000002], [-0.90000000000000002, 0.40000000000000002], '

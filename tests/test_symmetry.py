@@ -2,6 +2,9 @@
 
 import functools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from extremal_ellipsoids import (
     permutation_group,
     signed_permutation_group,
     slab_symmetry_group,
+    symmetry,
 )
 
 
@@ -50,6 +54,9 @@ def test_group_rejects_non_isometry():
     stretch = AffineMap(np.diag([2.0, 1.0]), np.zeros(2))
     with pytest.raises(ValueError, match="isometry"):
         FiniteGroup((AffineMap(np.eye(2), np.zeros(2)), stretch))
+    far = AffineMap(np.eye(2), np.array([math.inf, 0.0]))
+    with pytest.raises(ValueError, match="finite isometry"):
+        FiniteGroup((AffineMap(np.eye(2), np.zeros(2)), far))
 
 
 def test_group_rejects_missing_identity():
@@ -70,7 +77,7 @@ def _hyperoctahedral(n):
     return signed_permutation_group(n).elements
 
 
-@pytest.mark.parametrize("n,order", [(4, 384), (5, 3840)])
+@pytest.mark.parametrize("n,order", [(4, 384), (5, 3840), (6, 46080)])
 def test_group_rejects_a_dropped_element(n, order):
     elements = _hyperoctahedral(n)
     assert len(elements) == order
@@ -78,7 +85,7 @@ def test_group_rejects_a_dropped_element(n, order):
         FiniteGroup(elements[:-1])
 
 
-@pytest.mark.parametrize("n,order", [(4, 384), (5, 3840)])
+@pytest.mark.parametrize("n,order", [(4, 384), (5, 3840), (6, 46080)])
 def test_group_rejects_a_moved_offset(n, order):
     elements = list(_hyperoctahedral(n))
     assert len(elements) == order
@@ -88,22 +95,81 @@ def test_group_rejects_a_moved_offset(n, order):
         FiniteGroup(tuple(elements))
 
 
-def test_order_3840_builds_in_few_tree_queries(monkeypatch):
-    # at most ceil(log2 3840) = 12 generators plus the inverse check
-    import scipy.spatial
-
+# at most ceil(log2 |G|) generators plus the inverse check
+@pytest.mark.parametrize("n,bound", [(5, 13), (6, 17)])
+def test_group_builds_in_few_lookups(monkeypatch, n, bound):
     calls = []
-    tree = scipy.spatial.cKDTree
+    index = symmetry._Lookup.index
 
-    class Counted(tree):
-        def query(self, *args, **kwargs):
-            calls.append(1)
-            return super().query(*args, **kwargs)
+    def counted(self, *args):
+        calls.append(1)
+        return index(self, *args)
 
-    monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
-    group = signed_permutation_group(5)
-    assert len(group) == 3840
-    assert 0 < len(calls) <= 13
+    monkeypatch.setattr(symmetry._Lookup, "index", counted)
+    elements = _hyperoctahedral(n)
+    assert len(FiniteGroup(elements)) == len(elements)
+    assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("signed-permutation", {"n": 3}), ("dihedral", {"order": 5}),
+    ("cyclic", {"order": 7}), ("slab", {"n": 4}),
+    ("slab-symmetric", {"n": 3}), ("permutation", {"n": 3})])
+def test_named_group_builds_one_group(monkeypatch, name, kw):
+    built = []
+    post_init = FiniteGroup.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(FiniteGroup, "__post_init__", counted)
+    named_group(name, **kw)
+    assert len(built) == 1
+
+
+def _moved_to(group, c0):
+    # the group's symmetries moved to sit at c0: offsets (I - L) c0
+    n = group.dim
+    return tuple(AffineMap(g.linear, (np.eye(n) - g.linear) @ c0)
+                 for g in group)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7, 1e9])
+@pytest.mark.parametrize("build", [lambda: dihedral_group(5),
+                                   lambda: signed_permutation_group(2),
+                                   lambda: signed_permutation_group(3)],
+                         ids=["D5", "B2", "B3"])
+def test_group_far_from_the_origin(build, scale):
+    # closure compares offsets in units of 1 + max|offset|, so rounding in
+    # offsets of size scale does not break it, and a real move still does
+    group = build()
+    c0 = scale * np.resize([0.7312, -1.3377, 0.4121], group.dim)
+    moved = _moved_to(group, c0)
+    shifted = FiniteGroup(moved)
+    assert len(shifted) == len(group)
+    unit = 1.0 + np.max(np.abs(shifted.offsets))
+    k = len(moved) // 2
+    broken = list(moved)
+    broken[k] = AffineMap(moved[k].linear,
+                          moved[k].offset + 1e-6 * unit * np.eye(group.dim)[0])
+    with pytest.raises(ValueError, match="closed"):
+        FiniteGroup(tuple(broken))
+
+
+def test_group_path_loads_no_scipy_subpackage():
+    # building a group, its orbit and its average need no scipy module;
+    # the bare scipy package is imported on purpose
+    root = str(Path(symmetry.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {root!r}); import scipy; "
+            "bare = set(sys.modules); import extremal_ellipsoids as ee; "
+            "g = ee.signed_permutation_group(5); x = [0.9, 0.7, 0.5, 0.3, 0.1]; "
+            "ee.orbit(g, x); ee.invariant_shape(g, x, ee.invariant_center(g, x)); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy') "
+            "and m not in bare))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_group_accepts_isometries_of_a_quadratic_form():
@@ -143,6 +209,22 @@ def test_orbit_deduplicates_fixed_points():
     assert len(orbit(signed_permutation_group(2), [1.0, 1.0])) == 4
 
 
+def test_orbit_rejects_a_non_finite_point():
+    with pytest.raises(ValueError, match="finite"):
+        orbit(signed_permutation_group(2), [math.nan, 0.0])
+
+
+@pytest.mark.parametrize("scale", [3e-10, 1.5e-9])
+def test_orbit_of_a_nearly_fixed_point(scale):
+    # all 3840 images lie within a few tolerances of the origin: the rule
+    # settles them one by one, and the result is the element loop's
+    group = signed_permutation_group(5)
+    x = scale * np.array([0.9, 0.7, 0.5, 0.3, 0.1])
+    pts = np.array(orbit(group, x))
+    np.testing.assert_array_equal(pts, np.array(_loop_orbit(group, x)))
+    assert (len(pts) == 1) == (scale < 5e-10)
+
+
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_orbit_size_divides_group_order(a, b):
     g = signed_permutation_group(2)
@@ -157,9 +239,7 @@ def test_invariant_center_of_linear_group_is_origin():
 
 
 def _square_at(c0):
-    # the square's symmetries moved to sit at c0: offsets (I - L) c0
-    return FiniteGroup(tuple(AffineMap(g.linear, (np.eye(2) - g.linear) @ c0)
-                             for g in signed_permutation_group(2)))
+    return FiniteGroup(_moved_to(signed_permutation_group(2), c0))
 
 
 def test_invariant_center_of_shifted_group():
