@@ -77,16 +77,14 @@ def _emit(obj) -> str:
 # ---------------------------------------------------------------------------
 # Input plumbing.
 
-def _load_input(path: str | None, table_key: str | None = None) -> dict:
-    if path is None:
-        raise _CliError("missing-input", "this subcommand requires --input")
+def _load_input(path: str, table_key: str | None = None) -> dict:
     try:
         with open(path) as fh:
             text = fh.read()
     except FileNotFoundError:
         raise _CliError("missing-input", f"cannot open {path!r}")
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         # mvee/mvie also accept a whitespace table, one row per point or
         # per halfspace "a_1 ... a_n b"
@@ -95,6 +93,9 @@ def _load_input(path: str | None, table_key: str | None = None) -> dict:
             if parsed is not None:
                 return parsed
         raise _CliError("malformed-json", f"{path}: {exc}")
+    if not isinstance(payload, dict):
+        raise _CliError("invalid-input", "input must be a JSON object")
+    return payload
 
 
 def _parse_table(text: str, table_key: str) -> dict | None:
@@ -121,20 +122,28 @@ def _parse_table(text: str, table_key: str) -> dict | None:
     return {"normals": arr[:, :-1], "offsets": arr[:, -1]}
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _field(payload: dict, key: str, convert=_floats):
+    """convert(payload[key]); an input error when the value is malformed."""
+    try:
+        return convert(payload[key])
+    except (KeyError, TypeError) as exc:
+        raise _CliError("invalid-input", f"input needs a well-formed {key!r} "
+                        f"({type(exc).__name__}: {exc})") from exc
+
+
 def _points_from(payload: dict) -> np.ndarray:
-    if "points" not in payload:
-        raise _CliError("invalid-input", "input needs a 'points' array")
-    pts = np.asarray(payload["points"], dtype=float)
+    pts = _field(payload, "points")
     if pts.ndim != 2:
         raise _CliError("invalid-input", "'points' must be a 2-D array")
     return pts
 
 def _polytope_from(payload: dict) -> Polytope:
-    if "normals" not in payload or "offsets" not in payload:
-        raise _CliError("invalid-input",
-                        "input needs 'normals' and 'offsets' arrays")
-    normals = np.asarray(payload["normals"], dtype=float)
-    offsets = np.asarray(payload["offsets"], dtype=float)
+    normals = _field(payload, "normals")
+    offsets = _field(payload, "offsets")
     if normals.ndim != 2 or offsets.ndim != 1 \
             or normals.shape[0] != offsets.shape[0]:
         raise _CliError("dimension-mismatch",
@@ -309,11 +318,8 @@ def _cmd_mvie(args):
 
 def _cmd_certify(args):
     payload = _load_input(args.input)
-    if "ellipsoid" not in payload or "kind" not in payload:
-        raise _CliError("invalid-input",
-                        "certify input needs 'kind' and 'ellipsoid'")
-    ell = ellipsoid_from_dict(payload["ellipsoid"])
-    kind = payload["kind"]
+    kind = _field(payload, "kind", str)
+    ell = _field(payload, "ellipsoid", ellipsoid_from_dict)
     if kind == "ce":
         body = _points_from(payload)
         if body.shape[1] != ell.dim:
@@ -335,13 +341,13 @@ def _cmd_cut_solve(args):
     payload = _load_input(args.input)
     poly = _polytope_from(payload)
     if "initial" in payload:
-        initial = ellipsoid_from_dict(payload["initial"])
+        initial = _field(payload, "initial", ellipsoid_from_dict)
     else:
         initial = Ellipsoid(np.zeros(poly.dim), np.eye(poly.dim))
     if initial.dim != poly.dim:
         raise _CliError("dimension-mismatch",
                         "initial ellipsoid does not match the constraints")
-    floor = float(payload.get("floor", 1e-12))
+    floor = _field(payload, "floor", float) if "floor" in payload else 1e-12
 
     normals, offsets = poly.normals, poly.offsets
 
@@ -365,16 +371,14 @@ def _cmd_cut_solve(args):
 def _cmd_symmetry(args):
     payload = _load_input(args.input)
     if "elements" in payload:
-        group = group_from_dict(payload)
+        group = _field(payload, "elements", lambda _: group_from_dict(payload))
     elif "group" in payload:
         group = named_group(payload["group"], n=payload.get("dim"),
                             order=payload.get("order"))
     else:
         raise _CliError("invalid-input",
                         "symmetry input needs 'group' or 'elements'")
-    if "x" not in payload:
-        raise _CliError("invalid-input", "symmetry input needs a point 'x'")
-    x = np.asarray(payload["x"], dtype=float)
+    x = _field(payload, "x")
     if x.shape != (group.dim,):
         raise _CliError("dimension-mismatch", "'x' does not match the group")
 
@@ -382,8 +386,8 @@ def _cmd_symmetry(args):
     center = invariant_center(group, x)
     shape = invariant_shape(group, x, center)
     ell = Ellipsoid(center, shape)
-    result = certify_ce(np.array(pts), ell, tol=args.tol)
-    return {"orbit": [p.tolist() for p in pts],
+    result = certify_ce(pts, ell, tol=args.tol)
+    return {"orbit": pts,
             "center": center.tolist(),
             "ellipsoid": ellipsoid_to_dict(ell),
             "invariant": check_invariant_ellipsoid(group, ell),

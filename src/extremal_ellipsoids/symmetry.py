@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import AffineMap, Ellipsoid
-from .errors import SingularShape
+from .errors import SingularMap, SingularShape
 
 _CLOSURE_TOL = 1e-10
 _ORBIT_TOL = 1e-9
@@ -63,18 +62,24 @@ class _Lookup:
         return first
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite collection of affine isometries, closed under the group laws.
+    """Finite group of affine isometries, held as two stacked arrays.
+
+    ``linears`` (|G|, n, n) and ``offsets`` (|G|, n) stack the elements
+    x -> offset + linear @ x, and there is no object per element:
+    ``elements`` and iteration build ``AffineMap``s only when asked.
+    ``FiniteGroup(elements, form)`` stacks a sequence of ``AffineMap``s
+    once; the built-in groups and ``group_from_dict`` hand their stacks to
+    the same validation.
 
     ``form`` optionally supplies an SPD matrix M = R R^T whose Cholesky
     factor conjugates the linear parts to orthogonal ones, R^T g R^-T;
-    without it the linear parts must be orthogonal as given.  Closure,
-    inverses, and the identity are verified eagerly since everything
-    downstream relies on them, up to _CLOSURE_TOL in the max-norm over the
-    linear part and the offset, with offsets in units of 1 + max|offset|;
-    ``identity_index`` is the first element within that tolerance of the
-    identity map.
+    without it the linear parts must be orthogonal as given, which also
+    makes them nonsingular.  Closure, inverses, and the identity are
+    verified eagerly since everything downstream relies on them, up to
+    _CLOSURE_TOL in the max-norm over the linear part and the offset, with
+    offsets in units of 1 + max|offset|; ``identity_index`` is the first
+    element within that tolerance of the identity map.
 
     Closure is checked on generators: the first element not yet reached
     from the identity becomes a generator t, one exact lookup (the element
@@ -84,35 +89,28 @@ class FiniteGroup:
     extends the reached set.  A set with the identity and G o t in G for
     each t of a generating set T is a group, and each new generator at
     least doubles the reached subgroup, so the check costs at most
-    ceil(log2 |G|) lookups of |G| products, plus one for the inverses; the
-    signed permutations of order 46 080 build in a few seconds.
-    ``linears`` (|G|, n, n) and ``offsets`` (|G|, n) stack the elements.
+    ceil(log2 |G|) lookups of |G| products, plus one for the inverses.
+    The signed permutations of order 46 080 build in about 1.0 s with one
+    BLAS thread on 2 CPUs, 0.6 s of it the 12 lookups, and hold 16 MB.
     """
 
-    elements: tuple
-    form: np.ndarray | None = None
-    identity_index: int = field(init=False)
-    linears: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, elements, form=None):
+        self._validate(*_stacked([(g.linear, g.offset) for g in elements]),
+                       form)
 
-    def __post_init__(self):
-        if not self.elements:
+    def _validate(self, linears, offsets, form):
+        """Keep the stacks once they hold a group, else raise."""
+        linears = np.asarray(linears, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if len(linears) == 0:
             raise ValueError("a group needs at least one element")
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
-        n = elements[0].dim
-        if any(g.dim != n for g in elements):
-            raise ValueError("group elements must share one dimension")
-        linears = np.array([g.linear for g in elements])
-        offsets = np.array([g.offset for g in elements])
-        linears.setflags(write=False)
-        offsets.setflags(write=False)
-        object.__setattr__(self, "linears", linears)
-        object.__setattr__(self, "offsets", offsets)
-
-        if self.form is not None:
-            form = np.asarray(self.form, dtype=float)
-            object.__setattr__(self, "form", form)
+        n = offsets.shape[-1]
+        if linears.shape[1:] != (n, n) or offsets.shape != (len(linears), n):
+            raise SingularMap(f"inconsistent shapes {linears.shape[1:]} "
+                              f"and {offsets.shape[1:]}")
+        root = np.eye(n)
+        if form is not None:
+            form = np.asarray(form, dtype=float)
             if not np.isfinite(form).all():
                 raise ValueError("invariant form must be finite")
             try:
@@ -120,11 +118,13 @@ class FiniteGroup:
             except np.linalg.LinAlgError as exc:
                 raise ValueError("invariant form must be positive definite") \
                     from exc
-        else:
-            root = np.eye(n)
+        linears.flags.writeable = offsets.flags.writeable = False
+        self.linears, self.offsets, self.form = linears, offsets, form
+        if not (np.isfinite(linears).all() and np.isfinite(offsets).all()):
+            raise ValueError("group element is not a finite isometry")
         conj = root.T @ linears @ np.linalg.inv(root).T
         if np.max(np.abs(conj.transpose(0, 2, 1) @ conj - np.eye(n))) \
-                > _CLOSURE_TOL or not np.isfinite(offsets).all():
+                > _CLOSURE_TOL:
             raise ValueError("group element is not a finite isometry")
 
         # the identity, every product and every inverse must be elements
@@ -138,8 +138,8 @@ class FiniteGroup:
             np.eye(n)[None], np.zeros((1, n)))).max(axis=1) <= _CLOSURE_TOL)
         if ident.size == 0:
             raise ValueError("identity element missing")
-        object.__setattr__(self, "identity_index", int(ident[0]))
-        reached = np.zeros(len(elements), dtype=bool)
+        self.identity_index = int(ident[0])
+        reached = np.zeros(len(linears), dtype=bool)
         reached[self.identity_index] = True
         right = []  # right[k][i]: index of the element (element i) o t_k
         while not reached.all():
@@ -157,16 +157,22 @@ class FiniteGroup:
         inv_lin = np.linalg.inv(linears)
         lookup.index(flat(inv_lin, -np.einsum("mij,mj->mi", inv_lin, offsets)),
                      "group is not closed under inversion")
+        return self
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.offsets.shape[1]
+
+    @property
+    def elements(self) -> tuple:
+        """The elements as ``AffineMap``s, built on each access."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.linears)
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(AffineMap, self.linears, self.offsets)
 
 
 def _images(group: FiniteGroup, x) -> np.ndarray:
@@ -174,8 +180,8 @@ def _images(group: FiniteGroup, x) -> np.ndarray:
     return group.offsets + group.linears @ np.asarray(x, dtype=float)
 
 
-def orbit(group: FiniteGroup, x) -> list:
-    """Deduplicated orbit {g(x) : g in G}; its size divides the group order.
+def orbit(group: FiniteGroup, x) -> np.ndarray:
+    """Deduplicated orbit {g(x) : g in G} as a (k, n) array.
 
     An image is dropped iff it lies within _ORBIT_TOL (max-norm) of an
     earlier kept image.  A repeat of an earlier image is always dropped, so
@@ -185,6 +191,11 @@ def orbit(group: FiniteGroup, x) -> list:
     alone in its run is kept, and the rule settles the candidates of each
     longer run in index order: a point nearly fixed by all of G costs one
     pass over its images, not |G|^2 / 2 near pairs.
+
+    The orbit size divides the group order except within a few _ORBIT_TOL
+    of a point that G moves by less than that, where near images chain:
+    ``orbit(signed_permutation_group(2), [-1.2e-9, -5e-10])`` and
+    ``orbit(cyclic_group(8), [0.8e-9, 0])`` each keep 3 points.
     """
     images = _images(group, x)
     if not np.isfinite(images).all():
@@ -201,7 +212,7 @@ def orbit(group: FiniteGroup, x) -> list:
             if np.all(np.abs(cand[chosen] - cand[i]).max(axis=1) > _ORBIT_TOL):
                 chosen.append(i)
         kept[chosen] = True
-    return list(cand[kept])
+    return cand[kept]
 
 
 def invariant_center(group: FiniteGroup, x) -> np.ndarray:
@@ -241,13 +252,30 @@ def check_invariant_ellipsoid(group: FiniteGroup, e: Ellipsoid,
                 or np.any(turned > tol * scale_x))
 
 
+def _stacked(pairs) -> tuple:
+    """(linears, offsets) stacks of (linear, offset) pairs.
+
+    Pairs that do not stack raise as building them one by one would:
+    SingularMap for the first pair whose shapes disagree, else ValueError.
+    """
+    try:
+        return (np.array([a for a, _ in pairs], dtype=float),
+                np.array([t for _, t in pairs], dtype=float))
+    except ValueError:
+        for a, t in pairs:
+            AffineMap(a, t)
+        raise ValueError("group elements must share one dimension") from None
+
+
+def _group(linears, offsets=None) -> FiniteGroup:
+    """The group of the stacked elements; zero offsets when None."""
+    return FiniteGroup.__new__(FiniteGroup)._validate(
+        linears, np.zeros(np.shape(linears)[:2]) if offsets is None
+        else offsets, None)
+
+
 # ---------------------------------------------------------------------------
 # Built-in groups.
-
-def _linear_group(matrices) -> FiniteGroup:
-    zero = np.zeros(matrices[0].shape[0])
-    return FiniteGroup(tuple(AffineMap(m, zero) for m in matrices))
-
 
 def _signed_permutations(n: int) -> np.ndarray:
     """(n! 2^n, n, n) matrices diag(s) P, s inner to the permutation P."""
@@ -257,33 +285,35 @@ def _signed_permutations(n: int) -> np.ndarray:
     return (signs[None, :, :, None] * perms[:, None]).reshape(-1, n, n) + 0.0
 
 
-def _rotations(m: int) -> list:
+def _rotations(m: int) -> np.ndarray:
+    """(m, 2, 2) rotations by multiples of 2 pi / m, the identity first."""
     if m < 1:
         raise ValueError("order must be positive")
     turns = [2.0 * math.pi * k / m for k in range(1, m)]
-    return [np.eye(2)] + [np.array([[math.cos(t), -math.sin(t)],
-                                    [math.sin(t), math.cos(t)]]) for t in turns]
+    return np.array([np.eye(2)] + [[[math.cos(t), -math.sin(t)],
+                                    [math.sin(t), math.cos(t)]]
+                                   for t in turns])
 
 
 def permutation_group(n: int) -> FiniteGroup:
     """All n! coordinate permutations."""
-    return _linear_group(np.eye(n)[list(itertools.permutations(range(n)))])
+    return _group(np.eye(n)[list(itertools.permutations(range(n)))])
 
 
 def signed_permutation_group(n: int) -> FiniteGroup:
     """Hyperoctahedral group: coordinate permutations with sign flips."""
-    return _linear_group(_signed_permutations(n))
+    return _group(_signed_permutations(n))
 
 
 def cyclic_group(m: int) -> FiniteGroup:
     """Planar rotations by multiples of 2*pi/m."""
-    return _linear_group(_rotations(m))
+    return _group(_rotations(m))
 
 
 def dihedral_group(m: int) -> FiniteGroup:
     """Planar rotations and reflections of a regular m-gon."""
     rots = _rotations(m)
-    return _linear_group(rots + [r @ np.diag([1.0, -1.0]) for r in rots])
+    return _group(np.concatenate([rots, rots @ np.diag([1.0, -1.0])]))
 
 
 def slab_symmetry_group(n: int, flip_axis: bool = False) -> FiniteGroup:
@@ -299,41 +329,38 @@ def slab_symmetry_group(n: int, flip_axis: bool = False) -> FiniteGroup:
     mats = np.zeros((len(blocks), len(firsts), n, n))
     mats[:, :, 1:, 1:] = blocks[:, None]
     mats[:, :, 0, 0] = firsts
-    return _linear_group(mats.reshape(-1, n, n))
+    return _group(mats.reshape(-1, n, n))
 
 
 def named_group(name: str, n: int | None = None,
                 order: int | None = None) -> FiniteGroup:
     """Build a built-in group from a string key, for serialized inputs."""
-    key = name.replace("_", "-").lower()
-    if key == "permutation":
-        return permutation_group(_require(n, "dim"))
-    if key == "signed-permutation":
-        return signed_permutation_group(_require(n, "dim"))
-    if key == "cyclic":
-        return cyclic_group(_require(order, "order"))
-    if key == "dihedral":
-        return dihedral_group(_require(order, "order"))
-    if key == "slab":
-        return slab_symmetry_group(_require(n, "dim"))
-    if key == "slab-symmetric":
-        return slab_symmetry_group(_require(n, "dim"), flip_axis=True)
-    raise ValueError(f"unknown group name {name!r}")
-
-
-def _require(value, what):
-    if value is None:
-        raise ValueError(f"group requires {what}")
-    return value
+    builds = {"permutation": permutation_group,
+              "signed-permutation": signed_permutation_group,
+              "cyclic": cyclic_group, "dihedral": dihedral_group,
+              "slab": slab_symmetry_group,
+              "slab-symmetric": lambda k: slab_symmetry_group(k, True)}
+    key = str(name).replace("_", "-").lower()
+    if key not in builds:
+        raise ValueError(f"unknown group name {name!r}")
+    what, value = ("order", order) if key in ("cyclic", "dihedral") \
+        else ("dim", n)
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"group requires an integer {what}, not {value!r}")
+    return builds[key](value)
 
 
 def group_to_dict(group: FiniteGroup) -> dict:
-    return {"elements": [{"linear": g.linear.tolist(),
-                          "offset": g.offset.tolist()} for g in group]}
+    return {"elements": [{"linear": a, "offset": t} for a, t in
+                         zip(group.linears.tolist(), group.offsets.tolist())]}
 
 
 def group_from_dict(payload: dict) -> FiniteGroup:
-    return FiniteGroup(tuple(
-        AffineMap(np.asarray(item["linear"], dtype=float),
-                  np.asarray(item["offset"], dtype=float))
-        for item in payload["elements"]))
+    """The group of a ``group_to_dict`` payload.
+
+    A missing key raises KeyError and a non-list TypeError; stacks that do
+    not form a group raise ValueError, or SingularMap when an element's
+    linear part and offset differ in shape.
+    """
+    return _group(*_stacked([(item["linear"], item["offset"])
+                             for item in payload["elements"]]))

@@ -447,6 +447,79 @@ def test_symmetry_input_validation(capsys, tmp_path):
     assert (code, out["error"]["code"]) == (2, "invalid-input")
 
 
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+_UNIT_DISK = {"center": [0.0, 0.0], "shape": _EYE2}
+
+
+def _elements(*pairs):
+    return {"elements": [{"linear": a, "offset": t} for a, t in pairs],
+            "x": [1.0, 0.0]}
+
+
+# (subcommand, payload, error code); every case exits 2 with a JSON error
+MALFORMED = {
+    "element-without-offset": ("symmetry", {"elements": [{"linear": _EYE2}],
+                                            "x": [1.0, 0.0]},
+                               "invalid-input"),
+    "elements-a-number": ("symmetry", {"elements": 5, "x": [1.0, 0.0]},
+                          "invalid-input"),
+    "elements-of-strings": ("symmetry", {"elements": ["a"], "x": [1.0, 0.0]},
+                            "invalid-input"),
+    "linear-an-object": ("symmetry", _elements(({}, [0.0, 0.0])),
+                         "invalid-input"),
+    "dim-a-string": ("symmetry", {"group": "signed-permutation", "dim": "2",
+                                  "x": [1.0, 0.0]}, "invalid-value"),
+    "order-a-float": ("symmetry", {"group": "cyclic", "order": 4.0,
+                                   "x": [1.0, 0.0]}, "invalid-value"),
+    "group-a-number": ("symmetry", {"group": 5, "dim": 2, "x": [1.0, 0.0]},
+                       "invalid-value"),
+    "x-an-object": ("symmetry", {"group": "cyclic", "order": 4, "x": {}},
+                    "invalid-input"),
+    "payload-a-number": ("symmetry", 5, "invalid-input"),
+    "ellipsoid-without-center": ("certify", {
+        "kind": "ce", "points": SQUARE_POINTS, "ellipsoid": {"shape": _EYE2}},
+        "invalid-input"),
+    "ellipsoid-a-list": ("certify", {
+        "kind": "ce", "points": SQUARE_POINTS, "ellipsoid": [1.0, 2.0]},
+        "invalid-input"),
+    "points-an-object": ("certify", {
+        "kind": "ce", "points": {}, "ellipsoid": _UNIT_DISK},
+        "invalid-input"),
+    "initial-without-shape": ("cut-solve", {
+        **BOX_HALFSPACES, "initial": {"center": [0.0, 0.0]}},
+        "invalid-input"),
+    "floor-a-list": ("cut-solve", {**BOX_HALFSPACES, "floor": []},
+                     "invalid-input"),
+    # malformed groups the validation already rejected
+    "mixed-dimensions": ("symmetry", _elements(
+        (_EYE2, [0.0, 0.0]), (np.eye(3).tolist(), [0.0, 0.0, 0.0])),
+        "invalid-value"),
+    "non-isometry": ("symmetry", _elements(
+        (_EYE2, [0.0, 0.0]), ([[2.0, 0.0], [0.0, 1.0]], [0.0, 0.0])),
+        "invalid-value"),
+    "non-finite-offset": ("symmetry", _elements(
+        (_EYE2, [0.0, 0.0]), (_EYE2, [float("inf"), 0.0])), "invalid-value"),
+    "missing-identity": ("symmetry", _elements(
+        ([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])), "invalid-value"),
+    "no-elements": ("symmetry", _elements(), "invalid-value"),
+    "shapes-differ": ("symmetry", _elements(
+        (_EYE2, [0.0, 0.0]), ([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0, 0.0])),
+        "singular-map"),
+    # the isometry check rejects a singular linear part
+    "singular-linear": ("symmetry", _elements(
+        (_EYE2, [0.0, 0.0]), ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])),
+        "invalid-value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_is_a_json_error(capsys, tmp_path, case):
+    command, payload, code = MALFORMED[case]
+    path = write_json(tmp_path, "bad.json", payload)
+    status, out = run_json(capsys, command, "--input", path)
+    assert (status, out["error"]["code"]) == (2, code)
+
+
 def test_symmetry_reports_flat_orbits(capsys, tmp_path):
     path = write_json(tmp_path, "flat.json",
                       {"group": "slab", "dim": 2, "x": [1.0, 0.0]})

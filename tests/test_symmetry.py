@@ -117,15 +117,39 @@ def test_group_builds_in_few_lookups(monkeypatch, n, bound):
     ("slab-symmetric", {"n": 3}), ("permutation", {"n": 3})])
 def test_named_group_builds_one_group(monkeypatch, name, kw):
     built = []
-    post_init = FiniteGroup.__post_init__
+    validate = FiniteGroup._validate
 
-    def counted(self):
+    def counted(self, *args):
         built.append(1)
-        post_init(self)
+        return validate(self, *args)
 
-    monkeypatch.setattr(FiniteGroup, "__post_init__", counted)
+    monkeypatch.setattr(FiniteGroup, "_validate", counted)
     named_group(name, **kw)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("signed-permutation", {"n": 4}), ("dihedral", {"order": 5}),
+    ("cyclic", {"order": 7}), ("slab", {"n": 4}),
+    ("slab-symmetric", {"n": 3}), ("permutation", {"n": 4})])
+def test_group_holds_no_affine_map(monkeypatch, name, kw):
+    # a group is its stacks: building it and a round trip through its
+    # payload make no AffineMap; iteration makes one per element on demand
+    made = []
+    post_init = AffineMap.__post_init__
+
+    def counted(self):
+        made.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(AffineMap, "__post_init__", counted)
+    group = named_group(name, **kw)
+    clone = group_from_dict(group_to_dict(group))
+    assert made == []
+    np.testing.assert_array_equal(clone.linears, group.linears)
+    np.testing.assert_array_equal(clone.offsets, group.offsets)
+    assert [g.linear.tolist() for g in group] == group.linears.tolist()
+    assert len(made) == len(group)
 
 
 def _moved_to(group, c0):
