@@ -24,6 +24,7 @@ import scipy  # noqa: F401
 
 from .errors import (
     EmptyBody,
+    InvalidBody,
     InvalidDirection,
     InvalidEllipsoid,
     SingularMap,
@@ -240,6 +241,7 @@ class Polytope:
 
     V-form: ``vertices`` is a (k, n) stack of points, the body co({u_i}).
     H-form: ``normals`` (m, n) and ``offsets`` (m,) encode <a_i, x> <= b_i.
+    A non-finite entry raises InvalidBody naming its field.
     """
 
     vertices: np.ndarray | None = None
@@ -251,7 +253,7 @@ class Polytope:
             v = _as_immutable(np.atleast_2d(self.vertices))
             if v.size == 0:
                 raise EmptyBody("vertex list is empty")
-            object.__setattr__(self, "vertices", v)
+            fields = {"vertices": v}
         elif self.normals is not None and self.offsets is not None:
             a = _as_immutable(np.atleast_2d(self.normals))
             b = _as_immutable(np.atleast_1d(self.offsets))
@@ -259,10 +261,13 @@ class Polytope:
                 raise EmptyBody("normals and offsets disagree in length")
             if a.shape[0] == 0:
                 raise EmptyBody("halfspace list is empty")
-            object.__setattr__(self, "normals", a)
-            object.__setattr__(self, "offsets", b)
+            fields = {"normals": a, "offsets": b}
         else:
             raise EmptyBody("polytope needs vertices or normals+offsets")
+        for name, value in fields.items():
+            if not np.isfinite(value).all():
+                raise InvalidBody(f"polytope {name} must be finite")
+            object.__setattr__(self, name, value)
 
     @property
     def is_vform(self) -> bool:

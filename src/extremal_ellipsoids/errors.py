@@ -34,7 +34,8 @@ class NotNonnegative(ExtremalEllipsoidError):
 
 
 class DegenerateInput(ExtremalEllipsoidError):
-    """Input points do not span the ambient space affinely."""
+    """Input points are not finite or do not span the ambient space
+    affinely."""
 
 
 class Unconverged(ExtremalEllipsoidError):
@@ -46,7 +47,8 @@ class Unconverged(ExtremalEllipsoidError):
 
 
 class InvalidBody(ExtremalEllipsoidError):
-    """Polytope is empty or unbounded where a convex body is required."""
+    """Polytope is empty, unbounded or not finite where a convex body is
+    required."""
 
 
 class SingularShape(ExtremalEllipsoidError):

@@ -4,11 +4,15 @@
 ascent on the lifted dual (q_i = (x_i, 1), weights w) over all the points,
 with no hull prefilter: Frank-Wolfe and away steps of closed-form size,
 each updating M(w)^-1 and kappa_i = q_i^T M^-1 q_i by Sherman-Morrison in
-O(mn).  Only kappa recomputed from w may end the loop.  Once that exact
-gap reaches 1e-3 the support has, as a rule, settled: a Newton polish on
-it takes the weights to the optimum over that support and the gap is read
-again.  First-order steps resume only if a point off the support still
-holds it up, with another polish each time the gap falls tenfold.
+O(mn).  The polish is called from one place: once the gap reaches
+max(eps, 1e-3) the support has, as a rule, settled, and a Newton polish on
+it takes the weights to the optimum over that support.  The gap is then
+read from kappa recomputed from w, the only gap that may end the loop; if
+a point off the support still holds it up, first-order steps resume until
+the gap falls tenfold below it.  The Newton step works on the s x D matrix
+Phi of lifted outer products, D = (n+1)(n+2)/2, never on an s x s one, and
+stops at the rounding floor of kappa, so an optimal support such as a
+group orbit takes no step.
 
 ``mvie_polytope``: maximum-volume ellipsoid {c + L u : |u| <= 1} inside an
 H-polytope, by one primal-dual Newton method on (c, L, lambda) over all
@@ -51,8 +55,9 @@ _SUPPORT_TOL = 1e-9
 # and the share of the gap at the last polish that triggers the next one
 _POLISH_GAP = 1e-3
 _POLISH_AGAIN = 0.1
-# MVEE polish stop: max |kappa_i - d| at most this times cond(M) d, ten
-# machine epsilons, the rounding floor of kappa
+# MVEE polish stop: max |kappa_i - d| at most this times cond(M) d sqrt(s)
+# over a support of s points, ten machine epsilons, the rounding floor of
+# kappa and of the s-term sum in M
 _KAPPA_FLOOR = 10.0 * float(np.finfo(float).eps)
 
 
@@ -77,8 +82,10 @@ class SolverConfig:
 # MVEE of a point set.
 
 def _affinely_spanning(points: np.ndarray) -> bool:
+    """Rank test of the differences, at 1e-10 of their largest entry."""
     centered = points - points[0]
-    return np.linalg.matrix_rank(centered, tol=1e-10) == points.shape[1]
+    return np.linalg.matrix_rank(
+        centered, tol=1e-10 * np.abs(centered).max()) == points.shape[1]
 
 
 def _dedup_rows(points: np.ndarray) -> np.ndarray:
@@ -122,18 +129,27 @@ def _newton_polish_weights(pts_lifted: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
     """Solve kappa_i(w) = n+1 on the support by damped Newton steps.
 
-    The steps stop once max |kappa_i - d| is at most 10 eps cond(M) d, the
-    rounding floor of kappa, or once that residual no longer falls; the
-    weights with the smallest residual are returned.
+    With M^-1 = C C^T and y_i = C^T q_i, the Jacobian entry
+    -(q_i^T M^-1 q_j)^2 is -phi_i . phi_j for phi_i = svec(y_i y_i^T), with
+    sqrt(2) on the off-diagonal entries: D = d(d+1)/2 columns.  The
+    min-norm step U Sigma^-2 U^T r then comes from a thin SVD of the
+    s x D matrix Phi in O(s D^2), with no s x s matrix.  The steps stop
+    once max |kappa_i - d| is at most 10 eps cond(M) d sqrt(s), the
+    rounding floor of kappa over an s-term sum, so an optimal support such
+    as a group orbit takes no step; or once that residual no longer falls.
+    The weights with the smallest residual are returned.
     """
     d = pts_lifted.shape[1]
+    rows, cols = np.triu_indices(d)
+    root2 = np.where(rows == cols, 1.0, math.sqrt(2.0))
     best, best_resid = w, math.inf
     for _ in range(60):
         support = np.flatnonzero(w > _SUPPORT_TOL)
-        q = pts_lifted[support]
+        q, s = pts_lifted[support], support.size
         try:
             minv, kappa = _inverse_design(q, w[support])
-        except DegenerateInput:
+            y = q @ np.linalg.cholesky(minv)
+        except (DegenerateInput, np.linalg.LinAlgError):
             break
         resid = kappa - d
         size = float(np.max(np.abs(resid)))
@@ -141,11 +157,13 @@ def _newton_polish_weights(pts_lifted: np.ndarray,
             break
         best, best_resid = w, size
         # cond(M^-1) = cond(M)
-        if size <= _KAPPA_FLOOR * np.linalg.cond(minv) * d:
+        if size <= _KAPPA_FLOOR * np.linalg.cond(minv) * d * math.sqrt(s):
             break
-        cross = q @ minv @ q.T  # entries q_i^T M^-1 q_j
-        jac = -cross ** 2
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        u, sig, _ = np.linalg.svd(y[:, rows] * y[:, cols] * root2,
+                                  full_matrices=False)
+        # the eigenvalues sig^2 of Phi Phi^T that lstsq on it would keep
+        u = u[:, sig ** 2 > np.finfo(float).eps * s * sig[0] ** 2]
+        step = u @ ((u.T @ resid) / sig[:u.shape[1]] ** 2)
         w_sup = w[support]
         scale = 1.0
         neg = step < 0.0
@@ -167,6 +185,8 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("points must be finite")
     if pts.shape[0] < n + 1 or not _affinely_spanning(pts):
         raise DegenerateInput("points must affinely span the ambient space")
     pts = _dedup_rows(pts)
@@ -176,20 +196,21 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     w = _start_weights(pts, lifted)
     minv, kappa = _inverse_design(lifted, w)
     polish_at = _POLISH_GAP
-    for _ in range(cfg.max_iter):
+    for k in range(cfg.max_iter):
         gap, j = _step(kappa, w, d)
+        if not math.isfinite(gap):
+            raise Unconverged(f"mvee gap {gap} is not finite after {k} "
+                              "iterations", gap=gap)
         if gap <= max(cfg.eps, polish_at):
-            # the updated kappa drifts; only kappa recomputed from w may stop
+            # the support has settled: Newton on it, then the exact gap, as
+            # the updated kappa drifts and only kappa recomputed from w may
+            # stop
+            w = _newton_polish_weights(lifted, w)
             minv, kappa = _inverse_design(lifted, w)
             gap, j = _step(kappa, w, d)
-            if cfg.eps < gap <= polish_at:
-                # the support has settled: Newton on it, then the exact gap
-                w = _newton_polish_weights(lifted, w)
-                minv, kappa = _inverse_design(lifted, w)
-                gap, j = _step(kappa, w, d)
-                polish_at = _POLISH_AGAIN * gap
             if gap <= cfg.eps:
                 break
+            polish_at = _POLISH_AGAIN * gap
         # maximize log det((1 - sigma) M + sigma q_j q_j^T), down to dropping
         # q_j; log det only rises towards the drop when kappa_j <= 1
         kj = kappa[j]
@@ -206,7 +227,6 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
         raise Unconverged(f"mvee gap {gap:.3e} after {cfg.max_iter} iterations",
                           gap=gap)
 
-    w = _newton_polish_weights(lifted, w)
     center = w @ pts
     centered = pts - center
     cov = (centered.T * w) @ centered

@@ -20,6 +20,11 @@ from .errors import SingularMap, SingularShape
 _CLOSURE_TOL = 1e-10
 _ORBIT_TOL = 1e-9
 _INVARIANCE_TOL = 1e-9
+# _Lookup.index verifies this many window hits per pass: at least the
+# 48 x 48 a group of order 48 can have, so those take one pass
+_HIT_CHUNK = 4096
+# named_group refuses a group whose stacked linear parts take more bytes
+_GROUP_BYTES = 64 * 10 ** 6
 
 
 class _Lookup:
@@ -29,7 +34,8 @@ class _Lookup:
     row within ``tol`` of a query in the max-norm projects within
     tol |r|_1 of it, so a window of that half-width, widened by the
     rounding of both projections, around each query's projection holds
-    every match; each hit in the window is then verified in the max-norm.
+    every match; each hit in the window is then verified in the max-norm,
+    _HIT_CHUNK hits at a time, so the gathered copies stay small.
     A query that matches a row is at most tol larger than the rows, which
     bounds the rounding of its projection.
     """
@@ -54,9 +60,11 @@ class _Lookup:
         hits = np.searchsorted(self.keys, proj + self.slack, "right") - lo
         q = np.repeat(np.arange(len(queries)), hits)
         r = self.by_key[np.arange(len(q)) + (lo + hits - np.cumsum(hits))[q]]
-        near = np.abs(queries[q] - self.rows[r]).max(axis=1) <= self.tol
         first = np.full(len(queries), len(self.rows))
-        np.minimum.at(first, q[near], r[near])
+        for at in range(0, len(q), _HIT_CHUNK):
+            qc, rc = q[at:at + _HIT_CHUNK], r[at:at + _HIT_CHUNK]
+            near = np.abs(queries[qc] - self.rows[rc]).max(axis=1) <= self.tol
+            np.minimum.at(first, qc[near], rc[near])
         if np.any(first == len(self.rows)):
             raise ValueError(message)
         return first
@@ -91,7 +99,8 @@ class FiniteGroup:
     least doubles the reached subgroup, so the check costs at most
     ceil(log2 |G|) lookups of |G| products, plus one for the inverses.
     The signed permutations of order 46 080 build in about 1.0 s with one
-    BLAS thread on 2 CPUs, 0.6 s of it the 12 lookups, and hold 16 MB.
+    BLAS thread on 2 CPUs, 0.6 s of it the 12 lookups, and hold 16 MB at a
+    tracemalloc peak of 70 MB.
     """
 
     def __init__(self, elements, form=None):
@@ -108,7 +117,7 @@ class FiniteGroup:
         if linears.shape[1:] != (n, n) or offsets.shape != (len(linears), n):
             raise SingularMap(f"inconsistent shapes {linears.shape[1:]} "
                               f"and {offsets.shape[1:]}")
-        root = np.eye(n)
+        conj = linears
         if form is not None:
             form = np.asarray(form, dtype=float)
             if not np.isfinite(form).all():
@@ -118,11 +127,11 @@ class FiniteGroup:
             except np.linalg.LinAlgError as exc:
                 raise ValueError("invariant form must be positive definite") \
                     from exc
+            conj = root.T @ linears @ np.linalg.inv(root).T
         linears.flags.writeable = offsets.flags.writeable = False
         self.linears, self.offsets, self.form = linears, offsets, form
         if not (np.isfinite(linears).all() and np.isfinite(offsets).all()):
             raise ValueError("group element is not a finite isometry")
-        conj = root.T @ linears @ np.linalg.inv(root).T
         if np.max(np.abs(conj.transpose(0, 2, 1) @ conj - np.eye(n))) \
                 > _CLOSURE_TOL:
             raise ValueError("group element is not a finite isometry")
@@ -334,20 +343,42 @@ def slab_symmetry_group(n: int, flip_axis: bool = False) -> FiniteGroup:
 
 def named_group(name: str, n: int | None = None,
                 order: int | None = None) -> FiniteGroup:
-    """Build a built-in group from a string key, for serialized inputs."""
-    builds = {"permutation": permutation_group,
-              "signed-permutation": signed_permutation_group,
-              "cyclic": cyclic_group, "dihedral": dihedral_group,
-              "slab": slab_symmetry_group,
-              "slab-symmetric": lambda k: slab_symmetry_group(k, True)}
+    """Build a built-in group from a string key, for serialized inputs.
+
+    Before any element is built, a ``dim`` or ``order`` that is not an
+    integer of at least 1 raises ValueError, as does a group whose stacked
+    linear parts, |G| n^2 doubles, would exceed _GROUP_BYTES.
+    """
+    # key: (build, the field it reads, the factors of |G| for its value k):
+    # k!, 2^k k!, k, 2k, 2^(k-1) (k-1)! and 2^k (k-1)!
+    builds = {
+        "permutation": (permutation_group, "dim", lambda k: range(1, k + 1)),
+        "signed-permutation": (signed_permutation_group, "dim",
+                               lambda k: range(2, 2 * k + 1, 2)),
+        "cyclic": (cyclic_group, "order", lambda k: (k,)),
+        "dihedral": (dihedral_group, "order", lambda k: (2 * k,)),
+        "slab": (slab_symmetry_group, "dim", lambda k: range(2, 2 * k - 1, 2)),
+        "slab-symmetric": (lambda k: slab_symmetry_group(k, True), "dim",
+                           lambda k: itertools.chain(
+                               (2,), range(2, 2 * k - 1, 2))),
+    }
     key = str(name).replace("_", "-").lower()
     if key not in builds:
         raise ValueError(f"unknown group name {name!r}")
-    what, value = ("order", order) if key in ("cyclic", "dihedral") \
-        else ("dim", n)
+    build, what, factors = builds[key]
+    value = order if what == "order" else n
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"group requires an integer {what}, not {value!r}")
-    return builds[key](value)
+    if value < 1:
+        raise ValueError(f"group {what} must be at least 1, not {value}")
+    dim = int(value) if what == "dim" else 2
+    most, count = _GROUP_BYTES // (8 * dim * dim), 1
+    for factor in factors(int(value)):  # stops within about log2(most)
+        count *= factor
+        if count > most:
+            raise ValueError(f"{key} group of {what} {value} would hold more "
+                             f"than {_GROUP_BYTES // 10 ** 6} MB of elements")
+    return build(value)
 
 
 def group_to_dict(group: FiniteGroup) -> dict:

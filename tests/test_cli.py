@@ -471,6 +471,10 @@ MALFORMED = {
                                   "x": [1.0, 0.0]}, "invalid-value"),
     "order-a-float": ("symmetry", {"group": "cyclic", "order": 4.0,
                                    "x": [1.0, 0.0]}, "invalid-value"),
+    "dim-zero": ("symmetry", {"group": "permutation", "dim": 0, "x": []},
+                 "invalid-value"),
+    "dim-negative": ("symmetry", {"group": "signed-permutation", "dim": -1,
+                                  "x": []}, "invalid-value"),
     "group-a-number": ("symmetry", {"group": 5, "dim": 2, "x": [1.0, 0.0]},
                        "invalid-value"),
     "x-an-object": ("symmetry", {"group": "cyclic", "order": 4, "x": {}},
@@ -505,6 +509,22 @@ MALFORMED = {
     "shapes-differ": ("symmetry", _elements(
         (_EYE2, [0.0, 0.0]), ([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0, 0.0])),
         "singular-map"),
+    # non-finite numbers are named before any solver sees them
+    "points-with-nan": ("mvee", {"points": [[0.0, 0.0], [1.0, 0.0],
+                                            [0.0, float("nan")]]},
+                        "degenerate-input"),
+    "points-with-inf": ("mvee", {"points": [[0.0, 0.0], [1.0, 0.0],
+                                            [float("inf"), 1.0]]},
+                        "degenerate-input"),
+    "normal-with-nan": ("mvie", {**BOX_HALFSPACES, "normals": [
+        [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, float("nan")]]},
+        "invalid-body"),
+    "offset-with-nan": ("mvie", {**BOX_HALFSPACES,
+                                 "offsets": [1.0, 1.0, 1.0, float("nan")]},
+                        "invalid-body"),
+    "offset-with-inf": ("mvie", {**BOX_HALFSPACES,
+                                 "offsets": [1.0, 1.0, float("inf"), 1.0]},
+                        "invalid-body"),
     # the isometry check rejects a singular linear part
     "singular-linear": ("symmetry", _elements(
         (_EYE2, [0.0, 0.0]), ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])),

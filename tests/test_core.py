@@ -16,6 +16,7 @@ from extremal_ellipsoids import (
     EmptyBody,
     FeasibilityResult,
     GeneralSlab,
+    InvalidBody,
     InvalidDirection,
     InvalidEllipsoid,
     Polytope,
@@ -286,6 +287,14 @@ def test_polytope_needs_some_representation():
         Polytope()
     with pytest.raises(EmptyBody):
         Polytope(normals=np.eye(2), offsets=np.ones(3))
+    # a non-finite entry is named by its field
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidBody, match="vertices must be finite"):
+            Polytope(vertices=[[0.0, 0.0], [1.0, bad]])
+        with pytest.raises(InvalidBody, match="normals must be finite"):
+            Polytope(normals=[[1.0, 0.0], [bad, 1.0]], offsets=[1.0, 1.0])
+        with pytest.raises(InvalidBody, match="offsets must be finite"):
+            Polytope(normals=np.eye(2), offsets=[1.0, bad])
 
 
 def test_polar_of_square_vertices():

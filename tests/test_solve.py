@@ -1,6 +1,7 @@
 """Numerical solvers: point-set MVEE, polytope MVIE, and the grid oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,17 +138,33 @@ def test_mvee_affine_equivariance():
                                atol=1e-6 * np.linalg.norm(mapped.shape))
 
 
+LINE = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+
+
 def test_mvee_rejects_flat_input():
     line = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    with pytest.raises(DegenerateInput):
-        mvee_points(line)
+    for points, error, message in [
+            (line, DegenerateInput, "affinely span"),
+            (1e-11 * line, DegenerateInput, "affinely span"),
+            (1e11 * line, DegenerateInput, "affinely span"),
+            (np.vstack([SQUARE, [[np.nan, 0.0]]]), DegenerateInput, "finite"),
+            (np.vstack([SQUARE, [[0.0, -np.inf]]]), DegenerateInput,
+             "finite"),
+            # the moment matrix overflows, numpy warns, the first gap is NaN
+            (1e200 * SQUARE, Unconverged, "not finite after 0 iterations")]:
+        with pytest.raises(error, match=message), \
+                np.errstate(over="ignore", invalid="ignore"):
+            mvee_points(points)
 
 
 def test_mvee_starts_when_the_extreme_points_are_collinear():
-    # both axes' extremes are (0, 0) and (2, 2), a singular design
-    pts = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 0.5], [1.5, 1.2]])
-    e, _ = mvee_points(pts)
-    assert certify_ce(pts, e, tol=1e-8).passed
+    # both axes' extremes are (0, 0) and (2, 2), a singular design; the
+    # span test is relative to the spread, so no scale is flat
+    for scale in (1e-11, 1.0, 1e11):
+        pts = scale * np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 0.5],
+                                [1.5, 1.2]])
+        e, _ = mvee_points(pts)
+        assert certify_ce(pts, e, tol=1e-8).passed, scale
 
 
 def test_mvee_budget_exhaustion_raises():
@@ -212,20 +229,46 @@ def test_mvee_orbit_images_are_solved_at_the_start(name, dim, order, seed):
 
 def test_mvee_polish_keeps_uniform_weights_on_an_orbit():
     # uniform weights are optimal on an orbit, and kappa is exact only to
-    # its rounding floor, about eps cond(M): a polish that stops there
-    # leaves them uniform, one that steps on the noise spreads them
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(0.5, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
-        q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        t = AffineMap(q1 @ np.diag([1.0, 11.8, 140.0]) @ q2,
-                      rng.uniform(-1.0, 1.0, 3))
-        pts = t(np.array(orbit(named_group("signed-permutation", n=3), x)))
-        assert pts.shape[0] == 48
-        lifted = np.hstack([pts, np.ones((48, 1))])
-        w = _newton_polish_weights(lifted, np.full(48, 1.0 / 48))
-        assert np.max(np.abs(w - 1.0 / 48)) <= 1e-15, seed
+    # its rounding floor, about eps cond(M) sqrt(s) over s points: a polish
+    # that stops there leaves them uniform, one that steps on the noise
+    # spreads them.  Orbits of order 48 and 3840 under affine frames
+    for dim, stretch, seeds in [(3, [1.0, 11.8, 140.0], range(20)),
+                                (5, [1.0, 1.5, 2.0, 2.5, 3.0], range(3))]:
+        group = named_group("signed-permutation", n=dim)
+        m = len(group)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(0.5, 1.5, dim) * rng.choice([-1.0, 1.0], dim)
+            q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            t = AffineMap(q1 @ np.diag(stretch) @ q2,
+                          rng.uniform(-1.0, 1.0, dim))
+            pts = t(np.array(orbit(group, x)))
+            assert pts.shape[0] == m
+            lifted = np.hstack([pts, np.ones((m, 1))])
+            w = _newton_polish_weights(lifted, np.full(m, 1.0 / m))
+            assert np.max(np.abs(m * w - 1.0)) <= 1e-15, (m, seed)
+
+
+@pytest.mark.parametrize("x", [(0.9, 0.7, 0.5, 0.3, 0.1),
+                               (0.31, 0.52, 0.13, 0.74, 0.95)])
+def test_mvee_on_an_order_3840_orbit_forms_no_support_sized_matrix(x):
+    # the whole orbit is the support; a polish that forms the s x s matrix
+    # (q_i^T M^-1 q_j)^2 on it peaks above 200 MB.  The certificate's NNLS
+    # imports scipy.optimize on first use: import it first, outside the peak
+    import scipy.optimize  # noqa: F401
+
+    pts = np.array(orbit(named_group("signed-permutation", n=5), x))
+    assert pts.shape[0] == 3840
+    tracemalloc.start()
+    try:
+        e, _ = mvee_points(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak
+    result = certify_ce(pts, e, tol=1e-8)
+    assert result.passed, result.residuals
 
 
 def test_mvee_builds_no_convex_hull(monkeypatch):

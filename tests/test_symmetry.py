@@ -452,6 +452,32 @@ def test_named_group_dispatch():
         named_group("cyclic")
 
 
+@pytest.mark.parametrize("name, kw, message", [
+    ("permutation", {"n": 0}, "dim must be at least 1"),
+    ("signed-permutation", {"n": -1}, "dim must be at least 1"),
+    ("cyclic", {"order": 0}, "order must be at least 1"),
+    ("dihedral", {"order": -3}, "order must be at least 1"),
+    ("cyclic", {"order": 10 ** 9}, "more than 64 MB"),
+    ("dihedral", {"order": 10 ** 7}, "more than 64 MB"),
+    ("permutation", {"n": 12}, "more than 64 MB"),
+    ("permutation", {"n": 10 ** 400}, "more than 64 MB"),
+    ("signed-permutation", {"n": 7}, "more than 64 MB"),
+    ("slab", {"n": 8}, "more than 64 MB"),
+    ("slab-symmetric", {"n": 9}, "more than 64 MB"),
+])
+def test_named_group_rejects_before_building(monkeypatch, name, kw, message):
+    # dim and order are checked, and the stacked linear parts sized, before
+    # any element exists: every builder is replaced by one that fails
+    def build(*args):
+        raise AssertionError("named_group built a group")
+
+    for builder in ("permutation_group", "signed_permutation_group",
+                    "cyclic_group", "dihedral_group", "slab_symmetry_group"):
+        monkeypatch.setattr(symmetry, builder, build)
+    with pytest.raises(ValueError, match=message):
+        named_group(name, **kw)
+
+
 # ---------------------------------------------------------------------------
 # Serialization.
 
