@@ -15,13 +15,18 @@ stops at the rounding floor of kappa, so an optimal support such as a
 group orbit takes no step.
 
 ``mvie_polytope``: maximum-volume ellipsoid {c + L u : |u| <= 1} inside an
-H-polytope, by one primal-dual Newton method on (c, L, lambda) over all
-facets: minimize -log det L subject to r_i = b_i - a_i^T c - |L^T a_i| >= 0
-with lambda_i r_i driven to mu.  mu falls tenfold whenever the iterate is
-centred; the method stops once lambda^T r <= 1e-12 n and the dual
-residual is below 1e-9 of |grad log det L| or stops falling.  The
-multipliers lambda_i |L^T a_i| at the tangency points are the Fritz John
-certificate, which is checked before the result is returned.
+H-polytope, with no LP when it certifies.  Infeasible-start Newton steps
+from the origin find the analytic center, and the frame where the Dikin
+ellipsoid there is the unit ball.  In it, one primal-dual Newton method on
+(c, L, lambda) over all facets minimizes -log det L subject to
+r_i = b_i - a_i^T c - |L^T a_i| >= 0 with lambda_i r_i driven to mu.  mu
+falls tenfold whenever the iterate is centred; the method stops once
+lambda^T r <= 1e-12 n and the dual residual is below 1e-9 of
+|grad log det L| or stops falling.  The multipliers lambda_i |L^T a_i| at
+the tangency points are the Fritz John certificate, checked over all
+facets before the result is returned; it also proves the body bounded, so
+LPs run only after a failed solve, to tell an unbounded or empty body from
+one the solver could not finish.
 
 ``grid_oracle_slab``: exhaustive search over axial ellipsoids of a slab or
 truncated cone against sampled feasibility constraints; the independent
@@ -46,9 +51,12 @@ from .slab import AxialEllipsoidParams, SlabSpec
 
 # grid oracle: tau values per zoom step
 _ZOOM_POINTS = 17
-# MVIE Newton steps before Unconverged; seeded test and benchmark bodies
-# (n <= 12, m <= 150) take at most 30
+# MVIE Newton steps before Unconverged; the 14 benchmark bodies (n <= 12,
+# m <= 150) take 15-29 and 400 affine images of box cuts 16-28
 _NEWTON_BUDGET = 200
+# analytic-center steps before a failed solve; the same bodies take 2-6 and
+# 2-13, and moving a body 1e4 or 1e8 away from the origin adds about 10 or 20
+_CENTER_BUDGET = 100
 # MVEE weights above this are the support of the Newton polish
 _SUPPORT_TOL = 1e-9
 # MVEE: the exact gap at which the support is taken as settled and polished,
@@ -191,9 +199,15 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
         raise DegenerateInput("points must affinely span the ambient space")
     pts = _dedup_rows(pts)
     d = n + 1
-    lifted = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    # the weights are solved for in the frame (x - mean) 2^-k, with the
+    # spread scaled exactly into [1/2, 1): in the input coordinates a scale
+    # or an offset makes M(w) ill-conditioned, which loses kappa's last
+    # digits and stops the polish short of the certificate
+    frame = pts - pts.mean(axis=0)
+    frame = np.ldexp(frame, -math.frexp(float(np.abs(frame).max()))[1])
+    lifted = np.hstack([frame, np.ones((pts.shape[0], 1))])
 
-    w = _start_weights(pts, lifted)
+    w = _start_weights(frame, lifted)
     minv, kappa = _inverse_design(lifted, w)
     polish_at = _POLISH_GAP
     for k in range(cfg.max_iter):
@@ -238,6 +252,54 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
 # ---------------------------------------------------------------------------
 # MVIE of an H-polytope.
 
+def _to_boundary(v, dv):
+    """The step along dv, at most 1, that keeps v > 0 with 1% to spare."""
+    falling = dv < 0.0
+    return min(1.0, 0.99 * float(np.min(v[falling] / -dv[falling],
+                                        initial=math.inf)))
+
+
+def _analytic_center(a_hat, b_hat):
+    """The analytic center x of {x : a_hat x <= b_hat}, its slacks, and the
+    lower Cholesky factor of H = a_hat^T diag(1/slack^2) a_hat there.
+
+    Infeasible-start Newton steps on the optimality system of
+    minimize -sum log s_i subject to a_hat x + s = b_hat: a_hat x + s = b,
+    a_hat^T y = 0 and s_i y_i = 1, from x = 0, s_i = |b_i| (1 where
+    b_i = 0) and y = 1/s.  s and y each take the longest step that keeps
+    them 1% off zero.  A full step in s solves the constraint; from then on
+    s is read back as b - a x and y as 1/s, which makes the step the
+    primal Newton step, and the loop stops once its decrement is at most
+    0.1: the center is only the start and the frame of the MVIE solve,
+    which took 20.7 Newton steps on average over 400 affine box cuts for
+    any stop from 0.3 to 1e-4.  An empty or unbounded body has no analytic
+    center: it raises Unconverged at _CENTER_BUDGET steps, or LinAlgError
+    on a Hessian that is not positive definite.
+    """
+    x = np.zeros(a_hat.shape[1])
+    s = np.where(b_hat == 0.0, 1.0, np.abs(b_hat))
+    y = 1.0 / s
+    gap = s - b_hat  # a x + s - b
+    for _ in range(_CENTER_BUDGET):
+        feasible = not gap.any()
+        if feasible:
+            s = b_hat - a_hat @ x
+            if not np.all(s > 0.0):
+                break
+            y = 1.0 / s
+        lower = np.linalg.cholesky((a_hat.T * (y / s)) @ a_hat)
+        half = np.linalg.solve(lower, -a_hat.T @ ((1.0 + y * gap) / s))
+        if feasible and half @ half <= 1e-2:
+            return x, s, lower
+        dx = np.linalg.solve(lower.T, half)
+        ds = -gap - a_hat @ dx
+        dy = (1.0 - y * (s + ds)) / s
+        t, t_dual = _to_boundary(s, ds), _to_boundary(y, dy)
+        x, s, gap = x + t * dx, s + t * ds, (1.0 - t) * gap
+        y = y + t_dual * dy
+    raise Unconverged("no analytic center within its step budget")
+
+
 def _barrier_value(a_hat, b_hat, c, lower, t):
     diag = np.diag(lower)
     if np.any(diag <= 0.0):
@@ -245,10 +307,25 @@ def _barrier_value(a_hat, b_hat, c, lower, t):
     r = b_hat - a_hat @ c - np.linalg.norm(a_hat @ lower, axis=1)
     if np.any(r <= 0.0):
         return math.inf
+    return _barrier_at(diag, r, t)
+
+
+def _barrier_at(diag, r, t):
     return float(-t * np.log(diag).sum() - np.log(r).sum())
 
 
-def _newton_system(a_hat, b_hat, c, lower, lam):
+def _packing(a_hat):
+    """The loop invariants of _newton_system for unit normals a_hat (m x n):
+    the packed (row, col) indices of lower(L), the positions of its
+    diagonal among the n + n(n+1)/2 unknowns, a_hat[:, rows], and the mask
+    of packed pairs that share a column."""
+    n = a_hat.shape[1]
+    rows, cols = np.tril_indices(n)
+    return (rows, cols, n + np.flatnonzero(rows == cols), a_hat[:, rows],
+            cols[:, None] == cols[None, :])
+
+
+def _newton_system(a_hat, b_hat, c, lower, lam, packing):
     """The primal-dual Newton system over (c, packed lower(L)).
 
     Returns the gradient of f = -log det L, the slacks
@@ -257,23 +334,20 @@ def _newton_system(a_hat, b_hat, c, lower, lam):
     With u_i = L^T a_i / s_i, the row dr_i is (-a_i, -a_i[rows] u_i[cols]),
     and s_i curves L by (a_i a_i^T) (x) (I - u_i u_i^T) / s_i on the packed
     entries.  At lam = mu/r the matrix is mu times the Hessian of the
-    barrier value at t = 1/mu.
+    barrier value at t = 1/mu.  ``packing`` is _packing(a_hat).
     """
     n = c.shape[0]
-    rows, cols = np.tril_indices(n)
-    diag_idx = n + np.flatnonzero(rows == cols)
+    _, cols, diag_idx, a_rows, same = packing
     g = a_hat @ lower  # row i holds L^T a_i
     s = np.linalg.norm(g, axis=1)
     r = b_hat - a_hat @ c - s
     u = g / s[:, None]
-    a_rows = a_hat[:, rows]
     dr = np.hstack([-a_hat, -a_rows * u[:, cols]])
     grad_f = np.zeros(dr.shape[1])
     grad_f[diag_idx] = -1.0 / np.diag(lower)
     matrix = (dr.T * (lam / r)) @ dr
     w = lam / s
     dr_l = dr[:, n:]
-    same = cols[:, None] == cols[None, :]
     matrix[n:, n:] += ((a_rows.T * w) @ a_rows) * same - (dr_l.T * w) @ dr_l
     matrix[diag_idx, diag_idx] += grad_f[diag_idx] ** 2
     return grad_f, r, dr, matrix
@@ -291,14 +365,16 @@ def _mvie_newton(a_hat, b_hat, max_iter):
     stops falling.
     """
     n = a_hat.shape[1]
-    rows, cols = np.tril_indices(n)
+    packing = _packing(a_hat)
+    rows, cols = packing[:2]
     c = np.zeros(n)
     lower = 0.5 * np.eye(n)
     mu = 1.0
     lam = mu / (b_hat - 0.5)  # unit normals: every s_i is 1/2
     prev = math.inf
     for _ in range(max_iter):
-        grad_f, r, dr, matrix = _newton_system(a_hat, b_hat, c, lower, lam)
+        grad_f, r, dr, matrix = _newton_system(a_hat, b_hat, c, lower, lam,
+                                               packing)
         dual = float(np.linalg.norm(grad_f - dr.T @ lam))
         size = float(np.linalg.norm(grad_f))
         if lam @ r <= 1e-12 * n and (dual <= 1e-9 * size or dual >= prev):
@@ -312,7 +388,7 @@ def _mvie_newton(a_hat, b_hat, max_iter):
         dlam = mu / r - lam - lam / r * (dr @ step)
 
         t = 1.0 / mu
-        phi = _barrier_value(a_hat, b_hat, c, lower, t)
+        phi = _barrier_at(np.diag(lower), r, t)
         decrease = 0.25 * t * float(rhs @ step)
         alpha = 1.0
         for _ in range(60):
@@ -324,42 +400,25 @@ def _mvie_newton(a_hat, b_hat, max_iter):
                 c, lower = c_try, l_try
                 break
             alpha *= 0.5
-        falling = dlam < 0.0
-        beta = min(1.0, 0.99 * float(np.min(lam[falling] / -dlam[falling],
-                                            initial=math.inf)))
-        lam = lam + beta * dlam
+        lam = lam + _to_boundary(lam, dlam) * dlam
     raise Unconverged("mvie Newton method exceeded its step budget")
 
 
-def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
-    """Maximum-volume inscribed ellipsoid of a bounded H-polytope.
+def _certified_mvie(a_hat, b_hat, max_iter):
+    """(ellipsoid, contacts, multipliers) over all m facets, whose Fritz
+    John residuals are at most 1e-8; raises Unconverged otherwise.
 
-    Solved in the frame where the Dikin ellipsoid at the Chebyshev center
-    is the unit ball: there the body is round, so the slacks and the Newton
-    system keep their precision on thin bodies.  The multipliers lam_i s_i
-    of the facets' tangency points are the Fritz John certificate, since
-    stationarity in L reads sum_i lam_i a_i a_i^T / s_i = Y^(-1).
+    Solved in the frame C^-T, for the Hessian H = C C^T at the analytic
+    center, where the Dikin ellipsoid there is the unit ball: the body is
+    round, so the slacks and the Newton system keep their precision on
+    thin bodies.
     """
-    if h.is_vform:
-        raise InvalidBody("mvie needs an H-form polytope")
-    # boundedness is read from the normals alone, and chebyshev_center
-    # rejects an empty body: a body both empty and unbounded is InvalidBody
-    if not bounded_by_normals(h.normals):
-        raise InvalidBody("polytope is unbounded")
-    scale = np.linalg.norm(h.normals, axis=1)
-    if np.any(scale == 0.0):
-        raise InvalidBody("zero facet normal")
-    a_hat = h.normals / scale[:, None]
-    b_hat = h.offsets / scale
-    c0, _ = chebyshev_center(h)
-    slack = b_hat - a_hat @ c0
-
-    frame = np.linalg.cholesky(np.linalg.inv((a_hat.T / slack ** 2) @ a_hat))
+    c0, slack, chol = _analytic_center(a_hat, b_hat)
+    frame = np.linalg.inv(chol).T
     a_frame = a_hat @ frame
     norms = np.linalg.norm(a_frame, axis=1)
     a_frame /= norms[:, None]
-    c, lower, lam = _mvie_newton(a_frame, slack / norms,
-                                 min(cfg.max_iter, _NEWTON_BUDGET))
+    c, lower, lam = _mvie_newton(a_frame, slack / norms, max_iter)
 
     g = a_frame @ lower
     s = np.linalg.norm(g, axis=1)
@@ -370,6 +429,46 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     # solver's own, where they keep their precision however thin the body
     if max(fritz_john_residuals(ell, contacts, lam).values()) > 1e-8:
         raise Unconverged("mvie stopped short of the Fritz John system")
+    return ell, contacts, lam
+
+
+def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
+    """Maximum-volume inscribed ellipsoid of a bounded H-polytope.
+
+    Solved with no LP, in the frame where the Dikin ellipsoid at the
+    analytic center is the unit ball.  The multipliers lam_i s_i of the
+    facets' tangency points are the Fritz John certificate, since
+    stationarity in L reads sum_i lam_i a_i a_i^T / s_i = Y^(-1).  Its
+    check at 1e-8 over all facets also proves the body bounded.  Read in
+    the frame of the result's factor F, the contact of facet i is
+    u_i = F^T a_i / |F^T a_i|; a recession direction d (a_i^T d <= 0 for
+    every i) and e = F^-1 d / |F^-1 d| would give u_i . e <= 0 for all i,
+    so sum lam_i (u_i . e)^2 <= |sum lam_i u_i| <= 1e-8, where the matrix
+    equation needs at least 1 - sqrt(n) 1e-8.  So LPs run only after a
+    failed solve, to name the rejection: InvalidBody for an unbounded body,
+    empty or not, EmptyBody for an empty one, and Unconverged otherwise.
+    """
+    if h.is_vform:
+        raise InvalidBody("mvie needs an H-form polytope")
+    scale = np.linalg.norm(h.normals, axis=1)
+    if np.any(scale == 0.0):
+        raise InvalidBody("zero facet normal")
+    a_hat = h.normals / scale[:, None]
+    b_hat = h.offsets / scale
+    try:
+        # a failed solve may overflow (an empty body drives y to infinity):
+        # it raises here, and the LPs below name the rejection
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            ell, contacts, lam = _certified_mvie(
+                a_hat, b_hat, min(cfg.max_iter, _NEWTON_BUDGET))
+    except (Unconverged, np.linalg.LinAlgError, FloatingPointError,
+            InvalidEllipsoid) as exc:
+        if not bounded_by_normals(h.normals):
+            raise InvalidBody("polytope is unbounded") from exc
+        chebyshev_center(h)  # raises EmptyBody on an empty body
+        if isinstance(exc, Unconverged):
+            raise
+        raise Unconverged(f"mvie solve failed: {exc}") from exc
     return ell, pruned_certificate(ell, contacts, lam, "ie")
 
 
