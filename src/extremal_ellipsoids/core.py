@@ -87,7 +87,11 @@ class Ellipsoid:
 
     ``Ellipsoid(center, shape)`` takes an SPD shape X and keeps its bytes;
     ``Ellipsoid.from_factor(center, factor)`` takes F and derives X and
-    F^-1 at most once, on first use.  Instances are immutable.
+    F^-1 at most once, on first use.  Both copy and validate their input
+    and derive log|det F| by a factorization.  A cut step builds its result
+    with the private ``Ellipsoid._from_cut``, which keeps the cut's fresh
+    arrays without a copy and takes log|det F| from the cut's volume ratio,
+    so a cut runs no factorization.  Instances are immutable.
     """
 
     def __init__(self, center, shape):
@@ -112,6 +116,23 @@ class Ellipsoid:
             raise InvalidEllipsoid("factor is singular")
         e = cls.__new__(cls)
         e.__dict__.update(center=c, _factor=f, _log_det=float(log_det))
+        return e
+
+    @classmethod
+    def _from_cut(cls, center: np.ndarray, factor: np.ndarray,
+                  log_det: float) -> "Ellipsoid":
+        """A cut's result from arrays the cut has just allocated, which are
+        made read-only in place, and log|det factor| known from its volume
+        ratio.  Only finiteness is checked: the rank-one update keeps the
+        shapes, and with a', b' > 0 it keeps the factor nonsingular."""
+        if not (math.isfinite(log_det) and np.isfinite(center).all()
+                and np.isfinite(factor).all()):
+            raise InvalidEllipsoid("cut left a non-finite center, factor or "
+                                   "log det")
+        center.flags.writeable = False
+        factor.flags.writeable = False
+        e = cls.__new__(cls)
+        e.__dict__.update(center=center, _factor=factor, _log_det=log_det)
         return e
 
     def __setattr__(self, name, value):

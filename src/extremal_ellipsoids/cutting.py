@@ -5,6 +5,12 @@ normal, replaces it by the smallest circumscribed ellipsoid of that slab,
 and repeats.  Volume drops by a fixed dimension-dependent factor per
 proper cut, so an empty interior is certified once the volume passes the
 floor.
+
+A cut is a rank-one update of the factor F, O(n^2), and runs no
+factorization: log|det F| is carried from one ellipsoid to the next by
+the log of the cut's volume ratio, and every reported volume is read from
+that log det, so ``volume_before`` of a cut equals ``volume_after`` of the
+one before it exactly.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Ellipsoid, volume
-from .errors import EmptySlab
-from .slab import ce_slab, oriented
+from .errors import EmptySlab, InvalidEllipsoid
+from .slab import ce_slab_coefficients, orient
 
 _NOOP_TOL = 1e-15
 
@@ -79,27 +85,38 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
     With E = {c + F u : |u| <= 1}, v = F^T p and g = |v|, the slab is
     [a/g, b/g] in units of the ellipsoid's half-width along p.  Solving
     along s*p, with s = -1 when the lower bound is the deeper one,
-    ``ce_slab`` gives (tau, a', b'), and with w = v/g the update is the
-    rank-one formula
+    ``ce_slab_coefficients`` gives (tau, a', b'), and with w = v/g the
+    update is the rank-one formula
 
         c+ = c + s tau F w,
         F+ = F / sqrt(b') + (1/sqrt(a') - 1/sqrt(b')) (F w) w^T,
 
     which is X+ = b' X + (a' - b') p p^T / g^2 in shape form, with volume
-    ratio (a' b'^(n-1))^(-1/2).  Bounds deeper than the ellipsoid extent
-    are clamped; a slab missing the ellipsoid entirely raises EmptySlab.
+    ratio (a' b'^(n-1))^(-1/2) = det F+ / det F.  So log|det F+| is
+    log|det F| plus the log of the ratio, the step runs no factorization,
+    and both record volumes are read from the ellipsoids' log dets.
+    Bounds deeper than the ellipsoid extent, -inf and +inf among them, are
+    clamped; a slab missing the ellipsoid entirely raises EmptySlab.
     Shallow two-sided cuts that cannot shrink the volume return E
-    unchanged with ratio 1.
+    unchanged with ratio 1.  A NaN bound or a zero or non-finite normal
+    raises ValueError, and a normal along which E has collapsed to zero
+    width raises InvalidEllipsoid.
     """
     p = np.asarray(p, dtype=float)
-    if a >= b:
+    # checked before F^T p, where inf * 0 would warn; the sum of the entries
+    # screens for a non-finite one at a fraction of np.isfinite's cost
+    if not math.isfinite(sum(p.tolist())) and not np.isfinite(p).all():
+        raise ValueError("cut normal must be finite")
+    if not a < b:
+        if math.isnan(a) or math.isnan(b):
+            raise ValueError(f"cut bounds must not be NaN, got ({a}, {b})")
         raise EmptySlab("slab bounds leave no width")
     n = e.dim
     factor = e.factor()
     v = p @ factor  # F^T p
-    g = float(np.linalg.norm(v))
-    if not g > 0.0:
-        raise ValueError("cut normal must be nonzero")
+    g = math.sqrt(v @ v)
+    if not 0.0 < g < math.inf:
+        raise _bad_normal(p, g)
     alpha, beta = a / g, b / g
     if alpha >= 1.0 or beta <= -1.0:
         raise EmptySlab(f"slab [{alpha:.6g}, {beta:.6g}] misses the ellipsoid")
@@ -111,19 +128,35 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
                                vol_before, vol_before, 1.0)
         return e, record
 
-    spec, sign = oriented(n, alpha, beta)  # sign -1.0: solve along -p
-    params = ce_slab(spec)
+    lo, hi, sign = orient(alpha, beta)  # sign -1.0: solve along -p
+    tau, a_axis, b_rest, _ = ce_slab_coefficients(n, lo, hi)
     w = v / g
     direction = factor @ w
-    root_b = 1.0 / math.sqrt(params.b)
-    post = Ellipsoid.from_factor(
-        e.center + sign * params.tau * direction,
+    root_b = 1.0 / math.sqrt(b_rest)
+    # det(I / sqrt(b') + (1/sqrt(a') - 1/sqrt(b')) w w^T) = b'^-(n-1)/2 a'^-1/2
+    log_ratio = -0.5 * (math.log(a_axis) + (n - 1) * math.log(b_rest))
+    post = Ellipsoid._from_cut(
+        e.center + sign * tau * direction,
         root_b * factor
-        + (1.0 / math.sqrt(params.a) - root_b) * np.outer(direction, w))
-    ratio = (params.a * params.b ** (n - 1)) ** -0.5
+        + (1.0 / math.sqrt(a_axis) - root_b) * np.outer(direction, w),
+        e._log_det + log_ratio)
+    ratio = (a_axis * b_rest ** (n - 1)) ** -0.5
     record = CutStepRecord(iteration, p, alpha, beta,
-                           vol_before, vol_before * ratio, ratio)
+                           vol_before, volume(post), ratio)
     return post, record
+
+
+def _bad_normal(p: np.ndarray, g: float) -> Exception:
+    """Why |F^T p| is not a positive finite number for a finite normal:
+    told apart only once a cut has failed, so a working cut pays for none
+    of these tests."""
+    if not p.any():
+        return ValueError("cut normal must be nonzero")
+    if g == 0.0:
+        return InvalidEllipsoid("ellipsoid has collapsed: |F^T p| underflows "
+                                "to 0 for a nonzero normal")
+    return ValueError(f"cut normal overflows in the ellipsoid's frame: "
+                      f"|F^T p| = {g}")
 
 
 def central_cut_step(e: Ellipsoid, p, iteration: int = 0):

@@ -49,15 +49,25 @@ class SlabSpec:
             raise ValueError("convention beta^2 >= alpha^2 violated; reflect first")
 
 
+def orient(alpha: float, beta: float) -> tuple[float, float, float]:
+    """[alpha, beta] under the convention beta^2 >= alpha^2.
+
+    Returns ``(alpha, beta, 1.0)`` when the convention holds, else the
+    reflected interval along -e_1, ``(-beta, -alpha, -1.0)``.
+    """
+    if beta ** 2 < alpha ** 2:
+        return -beta, -alpha, -1.0
+    return alpha, beta, 1.0
+
+
 def oriented(n: int, alpha: float, beta: float) -> tuple[SlabSpec, float]:
     """SlabSpec of [alpha, beta] under the convention beta^2 >= alpha^2.
 
     Returns ``(spec, sign)``: sign is 1.0 when the convention holds, else
     -1.0 and spec is the reflected slab [-beta, -alpha] along -e_1.
     """
-    if beta ** 2 < alpha ** 2:
-        return SlabSpec(n, -beta, -alpha, reflected=True), -1.0
-    return SlabSpec(n, alpha, beta), 1.0
+    lo, hi, sign = orient(alpha, beta)
+    return SlabSpec(n, lo, hi, reflected=sign < 0.0), sign
 
 
 @dataclass(frozen=True)
@@ -206,6 +216,25 @@ def _ce_branch(n: int, alpha: float, beta: float) -> tuple[float, float, float, 
     return tau, a, b, "iii"
 
 
+def ce_slab_coefficients(n: int, alpha: float,
+                         beta: float) -> tuple[float, float, float, str]:
+    """(tau, a, b, case) of ``ce_slab`` for an oriented interval [alpha, beta],
+    as plain floats; the cut step reads them with no dataclass in between.
+
+    The caller guarantees -1 <= alpha < beta <= 1 and beta^2 >= alpha^2;
+    ``n >= 2`` and the validity window of the result are checked here.
+    """
+    if n < 2:
+        raise ValueError("slab formulas need ambient dimension >= 2")
+    if alpha * beta + 1.0 / n <= BOUNDARY_TOL:
+        return 0.0, 1.0, 1.0, "i"
+    tau, a, b, case = _ce_branch(n, alpha, beta)
+    if not (alpha < tau < beta and a >= b > 0.0):
+        raise InvalidEllipsoid(
+            f"slab CE formula left its validity window: tau={tau}, a={a}, b={b}")
+    return tau, a, b, case
+
+
 def ce_slab(s: SlabSpec) -> AxialEllipsoidParams:
     """Minimum-volume circumscribed ellipsoid of the slab, shape form.
 
@@ -214,15 +243,8 @@ def ce_slab(s: SlabSpec) -> AxialEllipsoidParams:
     (iii) general: tau is the smaller root of its quadratic, then (a, b)
     follow in closed form.
     """
-    n = s.n
-    alpha, beta = s.alpha, s.beta
-    if alpha * beta + 1.0 / n <= BOUNDARY_TOL:
-        return AxialEllipsoidParams(0.0, 1.0, 1.0, n, "shape", "i")
-    tau, a, b, case = _ce_branch(n, alpha, beta)
-    if not (alpha < tau < beta and a >= b > 0.0):
-        raise InvalidEllipsoid(
-            f"slab CE formula left its validity window: tau={tau}, a={a}, b={b}")
-    return AxialEllipsoidParams(tau, a, b, n, "shape", case)
+    tau, a, b, case = ce_slab_coefficients(s.n, s.alpha, s.beta)
+    return AxialEllipsoidParams(tau, a, b, s.n, "shape", case)
 
 
 def ce_cone(s: SlabSpec) -> AxialEllipsoidParams:

@@ -243,7 +243,12 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
 
     center = w @ pts
     centered = pts - center
-    cov = (centered.T * w) @ centered
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (centered.T * w) @ centered
+    if not np.isfinite(cov).all():
+        raise DegenerateInput(
+            f"the points' spread {float(np.abs(centered).max()):.3e} "
+            "overflows their covariance")
     shape = np.linalg.inv(cov) / n
     ell = Ellipsoid(center, 0.5 * (shape + shape.T))
     return ell, pruned_certificate(ell, pts, n * w, "ce")

@@ -13,6 +13,7 @@ from extremal_ellipsoids import (
     EmptySlab,
     FeasibilityProblem,
     GeneralSlab,
+    InvalidEllipsoid,
     ce_slab,
     central_cut_step,
     contains,
@@ -74,8 +75,36 @@ def test_central_cut_equals_full_depth_parallel_cut():
 
 
 def test_central_cut_rejects_zero_normal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normal must be nonzero"):
         central_cut_step(unit_ball(2), [0.0, 0.0])
+
+
+def test_cut_errors_name_their_cause():
+    e = unit_ball(2)
+    for normal in ([math.nan, 1.0], [math.inf, 0.0], [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="normal must be finite"):
+            central_cut_step(e, normal)
+    for a, b in ((-1.0, math.nan), (math.nan, 0.5), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="bounds must not be NaN"):
+            parallel_cut_step(e, [1.0, 0.0], a, b)
+    # infinite bounds stay legal: clamped to the ellipsoid's extent
+    post, record = parallel_cut_step(e, [1.0, 0.0], -math.inf, math.inf)
+    assert post is e and record.ratio == 1.0
+    below, _ = parallel_cut_step(e, [1.0, 0.0], -math.inf, 0.0)
+    above, _ = parallel_cut_step(e, [1.0, 0.0], 0.0, math.inf)
+    np.testing.assert_array_equal(above.center, -below.center)
+
+
+def test_cut_of_a_collapsed_ellipsoid_names_the_collapse():
+    # central cuts along the golden angle shrink F until F^T p underflows
+    # (log|det F| about -744); a unit normal then finds no width left
+    e = unit_ball(2)
+    with pytest.raises(InvalidEllipsoid, match="collapsed"):
+        for k in range(4000):
+            t = 2.399963229728653 * k
+            e, _ = central_cut_step(e, [math.cos(t), math.sin(t)], k)
+    assert 2000 < k < 4000
+    assert e._log_det < -700.0
 
 
 def test_overdeep_bounds_are_clamped():
@@ -164,10 +193,12 @@ def test_cuts_make_no_factorization(monkeypatch):
     rng = np.random.default_rng(8)
     m = rng.standard_normal((5, 5))
     e = Ellipsoid(rng.standard_normal(5), m @ m.T + 5.0 * np.eye(5))
-    calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky",
-                        lambda x: calls.append(1) or cholesky(x))
+    calls = {"cholesky": 0, "slogdet": 0}
+    for name in calls:
+        def counted(x, _name=name, _f=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _f(x)
+        monkeypatch.setattr(np.linalg, name, counted)
     for k in range(50):
         p = rng.standard_normal(5)
         if k % 2:
@@ -175,7 +206,29 @@ def test_cuts_make_no_factorization(monkeypatch):
         else:
             g = float(np.linalg.norm(p @ e.factor()))
             e, _ = parallel_cut_step(e, p, -0.5 * g, 0.3 * g, k)
-    assert calls == []
+    assert calls == {"cholesky": 0, "slogdet": 0}
+
+
+@pytest.mark.parametrize("n, cuts", [(2, 400), (10, 3000), (30, 6000)])
+def test_log_det_carried_by_the_ratios_does_not_drift(n, cuts):
+    # central, deep one-sided and two-sided cuts along random normals
+    rng = np.random.default_rng(40 + n)
+    m = rng.standard_normal((n, n))
+    e = Ellipsoid(rng.standard_normal(n), m @ m.T + n * np.eye(n))
+    for k in range(cuts):
+        p = rng.standard_normal(n)
+        g = float(np.linalg.norm(p @ e.factor()))
+        depth = rng.uniform(0.0, 0.3) * g
+        kind = k % 3
+        if kind == 0:
+            e, _ = central_cut_step(e, p, k)
+        elif kind == 1:
+            e, _ = parallel_cut_step(e, p, -math.inf, -depth, k)
+        else:
+            e, _ = parallel_cut_step(e, p, -depth - 0.6 * g, depth, k)
+    sign, exact = np.linalg.slogdet(e.factor())
+    assert sign != 0.0 and exact < -50.0
+    assert abs(e._log_det - exact) <= 1e-12 * abs(exact)
 
 
 @given(st.floats(-1.1, 0.95), st.floats(-0.95, 1.1),
@@ -234,6 +287,41 @@ def test_loop_finds_a_feasible_point():
     assert all(a < b for a, b in zip(afters, befores))
     for prev, cur in zip(afters, befores[1:]):
         assert cur == pytest.approx(prev, rel=1e-9)
+
+
+def test_loop_volumes_chain_exactly():
+    # the record volumes are read from each ellipsoid's log|det F|, so a
+    # cut starts from the very volume the cut before it ended at
+    box = FeasibilityProblem(
+        _halfspace_oracle([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                          [0.9, -0.8, 0.9, -0.8]),
+        Ellipsoid(np.zeros(2), np.eye(2) / 4.0))
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((13, 6))
+    x0 = 0.3 * rng.standard_normal(6)
+    polytope = FeasibilityProblem(_halfspace_oracle(a, a @ x0 + 0.01),
+                                  unit_ball(6))
+    for problem in (box, polytope):
+        res = solve_feasibility(problem, max_iter=500)
+        assert res.status == "FEASIBLE" and len(res.records) > 5
+        befores = [r.volume_before for r in res.records]
+        afters = [r.volume_after for r in res.records]
+        assert befores[0] == volume(problem.initial)
+        assert befores[1:] == afters[:-1]
+        assert res.volume == afters[-1]
+
+
+def _halfspace_oracle(normals, offsets):
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+
+    def oracle(x):
+        bad = np.flatnonzero(offsets - normals @ x < -1e-12)
+        if bad.size == 0:
+            return None
+        return normals[bad[0]], offsets[bad[0]]
+
+    return oracle
 
 
 def test_loop_keeps_the_feasible_set_inside_every_iterate():

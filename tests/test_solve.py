@@ -160,9 +160,8 @@ def test_mvee_rejects_flat_input():
              "finite"),
             # the weights are solved for at unit spread, but the covariance
             # of the input points overflows
-            (1e200 * SQUARE, InvalidEllipsoid, "non-finite")]:
-        with pytest.raises(error, match=message), \
-                np.errstate(over="ignore", invalid="ignore"):
+            (1e200 * SQUARE, DegenerateInput, "overflows their covariance")]:
+        with pytest.raises(error, match=message):
             mvee_points(points)
 
 
