@@ -19,11 +19,12 @@ are a CE body's points whose quadratic form reaches 1 - sqrt(tol), or the
 support points (``core.support_points``) of an IE body's facets that lie
 within sqrt(tol) of the ellipsoid.  NNLS fits their multipliers, and
 ``pruned_certificate`` drops those at most MULTIPLIER_PRUNE, as it does
-for the solvers.  The residuals are matrix_eq = |sum lambda u_bar u_bar^T
-- I|_F / sqrt(n), centroid_eq = |sum lambda u_bar| and multiplier_sum =
-|sum lambda - n|; a pass needs feasibility and matrix_eq <= tol,
-centroid_eq and multiplier_sum <= n tol and contact_membership <=
-sqrt(tol).
+for the solvers; a support above John's bound n(n+3)/2 it refits on
+John's n(n+3)/2 equations alone, so at most that many contacts remain.
+The residuals are matrix_eq = |sum lambda u_bar u_bar^T - I|_F / sqrt(n),
+centroid_eq = |sum lambda u_bar| and multiplier_sum = |sum lambda - n|; a
+pass needs feasibility and matrix_eq <= tol, centroid_eq and
+multiplier_sum <= n tol and contact_membership <= sqrt(tol).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ellipsoid, Polytope, support_points, unit_ball
+from .core import (Ellipsoid, Polytope, facet_norms, finite_points,
+                   support_points, unit_ball)
 from .errors import NotNonnegative, NotOptimal
 
 MULTIPLIER_PRUNE = 1e-10
@@ -94,23 +96,24 @@ def nnls(a, b):
     return scipy_nnls(a, b)
 
 
-def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:
-    """Nonnegative least squares fit of the Fritz John system.
-
-    Solved in the frame u_bar = F^(-1)(u - c), where the target matrix is
-    the identity.  Rows: upper triangle of u_bar u_bar^T (off-diagonal
-    weighted by sqrt(2) so the residual matches the Frobenius norm), the
-    centroid rows, and the trace row sum(lambda) = n.
-    """
+def _fritz_john_rows(e: Ellipsoid, contacts: np.ndarray):
+    """(A, b) of the Fritz John system, in the frame u_bar = F^(-1)(u - c)
+    where the target matrix is the identity.  Rows: John's n(n+3)/2
+    equations, the upper triangle of u_bar u_bar^T (off-diagonal weighted
+    by sqrt(2) so the residual matches the Frobenius norm) and the
+    centroid rows, then last the trace row sum(lambda) = n."""
     n = e.dim
     ubar = (np.atleast_2d(contacts) - e.center) @ e._factor_inv.T
     iu, ju = np.triu_indices(n)
     weights = np.where(iu == ju, 1.0, math.sqrt(2.0))
     a = np.vstack([(ubar[:, iu] * ubar[:, ju] * weights).T, ubar.T,
                    np.ones(len(ubar))])
-    b = np.concatenate([np.where(iu == ju, 1.0, 0.0), np.zeros(n), [n]])
-    lam, _ = nnls(a, b)
-    return lam
+    return a, np.concatenate([np.where(iu == ju, 1.0, 0.0), np.zeros(n), [n]])
+
+
+def recover_multipliers(e: Ellipsoid, contacts: np.ndarray) -> np.ndarray:
+    """NNLS fit of every row of the Fritz John system, trace row included."""
+    return nnls(*_fritz_john_rows(e, contacts))[0]
 
 
 def fritz_john_residuals(e: Ellipsoid, contacts: np.ndarray,
@@ -133,19 +136,21 @@ def _body_points(body) -> np.ndarray:
         if not body.is_vform:
             raise NotOptimal("circumscription certificates need points, not halfspaces")
         return body.vertices
-    return np.atleast_2d(np.asarray(body, dtype=float))
+    return finite_points(body)
 
 
 def pruned_certificate(e: Ellipsoid, contacts: np.ndarray,
                        lam: np.ndarray, kind: str) -> ContactCertificate | None:
     """The contacts whose multipliers exceed MULTIPLIER_PRUNE, or None when
     none does.  A support longer than John's bound n(n+3)/2 (many nearly
-    parallel facets or cospherical points) gets a basic multiplier set by
-    NNLS."""
+    parallel facets or cospherical points) is refit by NNLS on John's
+    n(n+3)/2 equations alone, whose passive columns stay independent, so
+    at most n(n+3)/2 remain; the trace identity stays a checked residual."""
     keep = lam > MULTIPLIER_PRUNE
     contacts, lam = contacts[keep], lam[keep]
     if contacts.shape[0] > e.dim * (e.dim + 3) // 2:
-        lam = recover_multipliers(e, contacts)
+        a, b = _fritz_john_rows(e, contacts)
+        lam = nnls(a[:-1], b[:-1])[0]
         keep = lam > MULTIPLIER_PRUNE
         contacts, lam = contacts[keep], lam[keep]
     if lam.size == 0:
@@ -205,7 +210,7 @@ def certify_ie(body: Polytope, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
     """
     if not isinstance(body, Polytope) or body.is_vform:
         raise NotOptimal("inscription certificates need an H-form polytope")
-    scale = np.linalg.norm(body.normals, axis=1)
+    scale = facet_norms(body)
     support, points = support_points(e, body.normals / scale[:, None])
     gaps = body.offsets / scale - support
     passed, residuals, cert = _fritz_john_check(

@@ -21,7 +21,7 @@ from .core import (Ellipsoid, Polytope, chebyshev_center, ellipsoid_from_dict,
 from .cutting import FeasibilityProblem, solve_feasibility
 from .errors import ExtremalEllipsoidError, Unconverged
 from .slab import (AxialEllipsoidParams, SlabSpec, ce_cone, ce_slab,
-                   ce_contact_points, cone_contact_points, ie_slab, oriented)
+                   ce_contact_points, cone_contact_points, ie_slab, orient)
 from .solve import SolverConfig, grid_oracle_slab, mvee_points, mvie_polytope
 from .symmetry import (check_invariant_ellipsoid, group_from_dict,
                        invariant_center, invariant_shape, named_group, orbit)
@@ -230,7 +230,8 @@ def _require_2d(dim: int) -> None:
 # Subcommands.
 
 def _cmd_axial(args, problem: str):
-    spec, sign = oriented(args.dim, args.alpha, args.beta)
+    lo, hi, sign = orient(args.alpha, args.beta)
+    spec = SlabSpec(args.dim, lo, hi)
     solver = {"CE": ce_slab, "IE": ie_slab, "CONE": ce_cone}[problem]
     params = solver(spec)
     tau_out = sign * params.tau
@@ -395,7 +396,8 @@ def _cmd_symmetry(args):
 
 
 def _cmd_oracle(args):
-    spec, sign = oriented(args.dim, args.alpha, args.beta)
+    lo, hi, sign = orient(args.alpha, args.beta)
+    spec = SlabSpec(args.dim, lo, hi)
     params = grid_oracle_slab(spec, args.problem.upper(),
                               resolution=args.resolution)
     return {"tau": sign * params.tau, "a": params.a, "b": params.b,

@@ -23,6 +23,7 @@ import numpy as np
 import scipy  # noqa: F401
 
 from .errors import (
+    DegenerateInput,
     EmptyBody,
     InvalidBody,
     InvalidDirection,
@@ -79,6 +80,8 @@ def _center_and_matrix(center, matrix, name: str):
         raise InvalidEllipsoid(f"{name} is {m.shape}, expected ({n}, {n})")
     if not np.isfinite(m).all():
         raise InvalidEllipsoid(f"{name} has non-finite entries")
+    if not np.isfinite(c).all():
+        raise InvalidEllipsoid("center has non-finite entries")
     return c, m
 
 
@@ -174,6 +177,15 @@ class Ellipsoid:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         d = d / np.linalg.norm(d, axis=1, keepdims=True)
         return self.center + d @ self._factor.T
+
+
+def finite_points(points) -> np.ndarray:
+    """A point or a stack of points as a 2-D float array; a non-finite
+    entry raises DegenerateInput."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("points must be finite")
+    return pts
 
 
 def unit_ball(n: int) -> Ellipsoid:
@@ -322,24 +334,28 @@ def polar(p: Polytope) -> Polytope:
     return Polytope(normals=p.vertices, offsets=np.ones(p.vertices.shape[0]))
 
 
+def facet_norms(p: Polytope) -> np.ndarray:
+    """|a_i| of an H-polytope's normals; a zero one raises InvalidBody."""
+    scale = np.linalg.norm(p.normals, axis=1)
+    if not scale.all():
+        raise InvalidBody("zero facet normal")
+    return scale
+
+
 def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
     """Center and radius of the largest ball in an H-polytope (via an LP)."""
     from scipy.optimize import linprog
 
     if p.is_vform:
         raise InvalidDirection("chebyshev_center takes an H-form polytope")
-    a = np.asarray(p.normals, dtype=float)
-    b = np.asarray(p.offsets, dtype=float)
-    scale = np.linalg.norm(a, axis=1)
-    if np.any(scale == 0.0):
-        raise EmptyBody("zero normal in halfspace list")
+    scale = facet_norms(p)
     n = p.dim
     # maximize r subject to a_i x + |a_i| r <= b_i
     cost = np.zeros(n + 1)
     cost[-1] = -1.0
-    a_ub = np.hstack([a, scale[:, None]])
-    res = linprog(cost, A_ub=a_ub, b_ub=b, bounds=[(None, None)] * (n + 1),
-                  method="highs")
+    a_ub = np.hstack([p.normals, scale[:, None]])
+    res = linprog(cost, A_ub=a_ub, b_ub=p.offsets,
+                  bounds=[(None, None)] * (n + 1), method="highs")
     if not res.success or res.x[-1] <= 0.0:
         raise EmptyBody("polytope has empty interior")
     return res.x[:-1], float(res.x[-1])

@@ -26,8 +26,6 @@ from .core import Ellipsoid, volume
 from .errors import EmptySlab, InvalidEllipsoid
 from .slab import ce_slab_coefficients, orient
 
-_NOOP_TOL = 1e-15
-
 
 @dataclass(frozen=True, eq=False)
 class CutStepRecord:
@@ -97,7 +95,8 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
     and both record volumes are read from the ellipsoids' log dets.
     Bounds deeper than the ellipsoid extent, -inf and +inf among them, are
     clamped; a slab missing the ellipsoid entirely raises EmptySlab.
-    Shallow two-sided cuts that cannot shrink the volume return E
+    Exactly when ``ce_slab`` takes its case "i" (alpha beta <= -1/n, a
+    shallow two-sided cut that cannot shrink the volume), E is returned
     unchanged with ratio 1.  A NaN bound or a zero or non-finite normal
     raises ValueError, and a normal along which E has collapsed to zero
     width raises InvalidEllipsoid.
@@ -122,14 +121,11 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
         raise EmptySlab(f"slab [{alpha:.6g}, {beta:.6g}] misses the ellipsoid")
     alpha, beta = max(alpha, -1.0), min(beta, 1.0)
     vol_before = volume(e)
-
-    if alpha * beta <= -1.0 / n + _NOOP_TOL:
-        record = CutStepRecord(iteration, p, alpha, beta,
-                               vol_before, vol_before, 1.0)
-        return e, record
-
     lo, hi, sign = orient(alpha, beta)  # sign -1.0: solve along -p
-    tau, a_axis, b_rest, _ = ce_slab_coefficients(n, lo, hi)
+    tau, a_axis, b_rest, case = ce_slab_coefficients(n, lo, hi)
+    if case == "i":  # E is already the slab's smallest ellipsoid
+        return e, CutStepRecord(iteration, p, alpha, beta,
+                                vol_before, vol_before, 1.0)
     w = v / g
     direction = factor @ w
     root_b = 1.0 / math.sqrt(b_rest)

@@ -37,7 +37,6 @@ class SlabSpec:
     n: int
     alpha: float
     beta: float
-    reflected: bool = False
 
     def __post_init__(self):
         if self.n < 2:
@@ -58,16 +57,6 @@ def orient(alpha: float, beta: float) -> tuple[float, float, float]:
     if beta ** 2 < alpha ** 2:
         return -beta, -alpha, -1.0
     return alpha, beta, 1.0
-
-
-def oriented(n: int, alpha: float, beta: float) -> tuple[SlabSpec, float]:
-    """SlabSpec of [alpha, beta] under the convention beta^2 >= alpha^2.
-
-    Returns ``(spec, sign)``: sign is 1.0 when the convention holds, else
-    -1.0 and spec is the reflected slab [-beta, -alpha] along -e_1.
-    """
-    lo, hi, sign = orient(alpha, beta)
-    return SlabSpec(n, lo, hi, reflected=sign < 0.0), sign
 
 
 @dataclass(frozen=True)
@@ -153,8 +142,8 @@ def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
     With E(X0, c0) = {c0 + F u : |u| <= 1} and q = F^T p, the map is
     x = c0 + F H u, where the Householder reflection H sends e_1 to q/|q|.
     Returns ``(spec, m)`` with ``body = m(B_spec)``.  When the convention
-    beta^2 >= alpha^2 forces the reflection x_1 -> -x_1, the reflection is
-    composed into ``m`` and recorded in ``spec.reflected``.
+    beta^2 >= alpha^2 forces the reflection x_1 -> -x_1 (``orient``), the
+    reflection is composed into ``m``: its first column is negated.
     """
     factor = g.ellipsoid.factor()
     q = g.normal @ factor  # F^T p
@@ -179,9 +168,9 @@ def normalize(g: GeneralSlab) -> tuple[SlabSpec, AffineMap]:
         qmat = np.eye(n)
 
     linear = factor @ qmat
-    spec, sign = oriented(n, alpha, beta)
+    lo, hi, sign = orient(alpha, beta)
     linear[:, 0] *= sign
-    return spec, AffineMap(linear, g.center0)
+    return SlabSpec(n, lo, hi), AffineMap(linear, g.center0)
 
 
 def denormalize(p: AxialEllipsoidParams, m: AffineMap) -> Ellipsoid:
@@ -222,12 +211,14 @@ def ce_slab_coefficients(n: int, alpha: float,
     as plain floats; the cut step reads them with no dataclass in between.
 
     The caller guarantees -1 <= alpha < beta <= 1 and beta^2 >= alpha^2;
-    ``n >= 2`` and the validity window of the result are checked here.
+    ``n >= 2`` and the validity window of the result are checked here, the
+    ball branch (i) before the dimension, so a 1-D slab that holds the
+    whole segment keeps it.
     """
-    if n < 2:
-        raise ValueError("slab formulas need ambient dimension >= 2")
     if alpha * beta + 1.0 / n <= BOUNDARY_TOL:
         return 0.0, 1.0, 1.0, "i"
+    if n < 2:
+        raise ValueError("slab formulas need ambient dimension >= 2")
     tau, a, b, case = _ce_branch(n, alpha, beta)
     if not (alpha < tau < beta and a >= b > 0.0):
         raise InvalidEllipsoid(

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import fritz_john_residuals, pruned_certificate
-from .core import Ellipsoid, Polytope, bounded_by_normals, chebyshev_center
+from .core import (Ellipsoid, Polytope, bounded_by_normals, chebyshev_center,
+                   facet_norms, finite_points)
 from .errors import DegenerateInput, InvalidBody, InvalidEllipsoid, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
 
@@ -67,6 +68,7 @@ _POLISH_AGAIN = 0.1
 # over a support of s points, ten machine epsilons, the rounding floor of
 # kappa and of the s-term sum in M
 _KAPPA_FLOOR = 10.0 * float(np.finfo(float).eps)
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,8 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     optimal dual weights, which satisfy the Fritz John system exactly at
     the optimum.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = finite_points(points)
     n = pts.shape[1]
-    if not np.isfinite(pts).all():
-        raise DegenerateInput("points must be finite")
     if pts.shape[0] < n + 1 or not _affinely_spanning(pts):
         raise DegenerateInput("points must affinely span the ambient space")
     pts = _dedup_rows(pts)
@@ -245,10 +245,15 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     centered = pts - center
     with np.errstate(over="ignore", invalid="ignore"):
         cov = (centered.T * w) @ centered
+    spread = float(np.abs(centered).max())
     if not np.isfinite(cov).all():
-        raise DegenerateInput(
-            f"the points' spread {float(np.abs(centered).max()):.3e} "
-            "overflows their covariance")
+        raise DegenerateInput(f"the points' spread {spread:.3e} overflows "
+                              "their covariance")
+    # a variance below the least normal double has lost bits to underflow,
+    # and its inverse overflows or does not exist
+    if np.diag(cov).min() < _NORMAL_MIN:
+        raise DegenerateInput(f"the points' spread {spread:.3e} underflows "
+                              "their covariance")
     shape = np.linalg.inv(cov) / n
     ell = Ellipsoid(center, 0.5 * (shape + shape.T))
     return ell, pruned_certificate(ell, pts, n * w, "ce")
@@ -455,9 +460,7 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     """
     if h.is_vform:
         raise InvalidBody("mvie needs an H-form polytope")
-    scale = np.linalg.norm(h.normals, axis=1)
-    if np.any(scale == 0.0):
-        raise InvalidBody("zero facet normal")
+    scale = facet_norms(h)
     a_hat = h.normals / scale[:, None]
     b_hat = h.offsets / scale
     try:

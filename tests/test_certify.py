@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from extremal_ellipsoids import (
     ContactCertificate,
+    DegenerateInput,
     Ellipsoid,
+    InvalidBody,
     NotNonnegative,
     NotOptimal,
     Polytope,
@@ -19,6 +21,7 @@ from extremal_ellipsoids import (
     ce_slab,
     certify_ce,
     certify_ie,
+    chebyshev_center,
     cone_contact_points,
     ce_cone,
     fritz_john_residuals,
@@ -26,6 +29,7 @@ from extremal_ellipsoids import (
     ie_support_polytope,
     john_factors,
     lukacs_certificate,
+    mvie_polytope,
     recover_multipliers,
     unit_ball,
     unit_directions,
@@ -194,6 +198,25 @@ def test_certify_ie_undersized_ball_fails():
 def test_certify_ie_requires_hform():
     with pytest.raises(NotOptimal):
         certify_ie(Polytope(vertices=SQUARE), unit_ball(2))
+
+
+def test_zero_facet_normal_is_an_invalid_body_everywhere():
+    # the box [-1, 1]^2 plus the row [0, 0] x <= 1, which bounds nothing
+    body = Polytope(normals=np.vstack([np.eye(2), -np.eye(2), [[0.0, 0.0]]]),
+                    offsets=np.ones(5))
+    e = unit_ball(2)
+    for call in (lambda: certify_ie(body, e),
+                 lambda: chebyshev_center(body),
+                 lambda: john_factors(body, e, "ie", symmetric=True),
+                 lambda: mvie_polytope(body)):
+        with pytest.raises(InvalidBody, match="^zero facet normal$"):
+            call()
+
+
+def test_certify_ce_rejects_non_finite_points():
+    for bad in ([math.nan, 0.0], [0.0, -math.inf]):
+        with pytest.raises(DegenerateInput, match="points must be finite"):
+            certify_ce(np.vstack([SQUARE, bad]), unit_ball(2))
 
 
 @pytest.mark.parametrize("n,alpha,beta", [

@@ -489,6 +489,19 @@ MALFORMED = {
     "points-an-object": ("certify", {
         "kind": "ce", "points": {}, "ellipsoid": _UNIT_DISK},
         "invalid-input"),
+    # non-finite centers and points, and a facet normal that bounds nothing,
+    # are named before the certificate is read
+    "center-with-nan": ("certify", {
+        "kind": "ce", "points": SQUARE_POINTS,
+        "ellipsoid": {"center": [0.0, float("nan")], "shape": _EYE2}},
+        "invalid-ellipsoid"),
+    "certify-point-with-nan": ("certify", {
+        "kind": "ce", "points": SQUARE_POINTS + [[float("nan"), 0.0]],
+        "ellipsoid": _UNIT_DISK}, "degenerate-input"),
+    "zero-facet-normal": ("certify", {
+        "kind": "ie", "normals": BOX_HALFSPACES["normals"] + [[0.0, 0.0]],
+        "offsets": BOX_HALFSPACES["offsets"] + [1.0],
+        "ellipsoid": _UNIT_DISK}, "invalid-body"),
     "initial-without-shape": ("cut-solve", {
         **BOX_HALFSPACES, "initial": {"center": [0.0, 0.0]}},
         "invalid-input"),

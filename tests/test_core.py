@@ -73,6 +73,16 @@ def test_non_finite_shape_rejected():
         Ellipsoid(np.zeros(2), np.diag([1.0, math.inf]))
 
 
+def test_non_finite_center_rejected():
+    for center in ([0.0, math.nan], [math.inf, 0.0]):
+        with pytest.raises(InvalidEllipsoid,
+                           match="center has non-finite entries"):
+            Ellipsoid(center, np.eye(2))
+        with pytest.raises(InvalidEllipsoid,
+                           match="center has non-finite entries"):
+            Ellipsoid.from_factor(center, np.eye(2))
+
+
 def test_factor_must_be_square_finite_and_nonsingular():
     for bad in (np.ones((2, 3)), np.eye(3), np.diag([1.0, math.nan]),
                 np.diag([1.0, math.inf]), np.array([[1.0, 2.0], [2.0, 4.0]])):

@@ -122,6 +122,23 @@ def test_shallow_two_sided_cut_is_a_noop():
     assert record.volume_after == record.volume_before
 
 
+def test_cut_is_a_noop_exactly_on_the_ball_branch():
+    # alpha beta + 1/n in (1e-15, 1e-12]: ce_slab's case "i" keeps the ball,
+    # so the cut keeps E itself, not a copy of it
+    e = unit_ball(2)
+    root = math.sqrt(0.5)
+    alpha, beta = -root, (0.5 - 5e-13) / root
+    assert 1e-15 < alpha * beta + 0.5 <= 1e-12
+    post, record = parallel_cut_step(e, [1.0, 0.0], alpha, beta)
+    assert post is e
+    assert (record.ratio, record.volume_after) == (1.0, record.volume_before)
+    # a 1-D slab that holds the whole ellipsoid is the ball branch too
+    segment = unit_ball(1)
+    for a, b in ((-1.0, 1.0), (-math.inf, math.inf)):
+        post, record = parallel_cut_step(segment, [1.0], a, b)
+        assert post is segment and record.ratio == 1.0
+
+
 def test_cut_is_invariant_under_normal_rescaling():
     e = Ellipsoid(np.array([1.0, -2.0]), np.diag([0.25, 1.0]))
     a, b = -0.8, 0.3
@@ -178,7 +195,9 @@ def test_cut_matches_the_general_slab_reduction(n):
             a, b = lo * jitter * g, hi * jitter * g
             post, record = parallel_cut_step(e, p, a, b)
             spec, frame = normalize(GeneralSlab(e.shape, e.center, p, a, b))
-            assert spec.reflected == (min(hi, 1.0) ** 2 < max(lo, -1.0) ** 2)
+            # reflected exactly when the map's first axis points against p
+            assert ((p @ frame.linear[:, 0] < 0.0)
+                    == (min(hi, 1.0) ** 2 < max(lo, -1.0) ** 2))
             params = ce_slab(spec)
             ref = denormalize(params, frame)
             scale = np.linalg.norm(ref.shape)

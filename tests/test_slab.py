@@ -342,7 +342,9 @@ def test_cone_degenerate_segment_rejected():
 def test_normalize_identity_slab():
     g = GeneralSlab(np.eye(2), np.zeros(2), np.array([1.0, 0.0]), -0.3, 0.6)
     spec, m = normalize(g)
-    assert (spec.alpha, spec.beta, spec.reflected) == (-0.3, 0.6, False)
+    # no reflection: the map's first axis points along the normal
+    assert (spec.alpha, spec.beta, g.normal @ m.linear[:, 0] < 0.0) == (
+        -0.3, 0.6, False)
     np.testing.assert_allclose(m.linear, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(m.offset, np.zeros(2), atol=1e-14)
 
@@ -378,7 +380,8 @@ def test_normalize_scaled_ball():
 def test_normalize_records_reflection():
     g = GeneralSlab(np.eye(2), np.zeros(2), np.array([1.0, 0.0]), -0.6, 0.3)
     spec, m = normalize(g)
-    assert spec.reflected
+    # the map carries the reflection: its first axis points against the normal
+    assert g.normal @ m.linear[:, 0] < 0.0
     assert (spec.alpha, spec.beta) == (-0.3, 0.6)
     # the composed map sends the normalized slab onto the original one
     np.testing.assert_allclose(m(np.array([-0.3, 0.0])), [0.3, 0.0],
@@ -387,9 +390,10 @@ def test_normalize_records_reflection():
 
 def test_normalize_clamps_overlong_bounds():
     g = GeneralSlab(np.eye(2), np.zeros(2), np.array([0.0, 1.0]), -3.0, 0.2)
-    spec, _ = normalize(g)
-    # clamped to [-1, 0.2], then reflected to honor beta^2 >= alpha^2
-    assert spec.reflected
+    spec, m = normalize(g)
+    # clamped to [-1, 0.2], then reflected to honor beta^2 >= alpha^2: the
+    # map's first axis points against the normal
+    assert g.normal @ m.linear[:, 0] < 0.0
     assert spec.alpha == pytest.approx(-0.2, abs=1e-15)
     assert spec.beta == 1.0
 

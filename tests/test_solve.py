@@ -9,9 +9,11 @@ import pytest
 
 from extremal_ellipsoids import (
     AffineMap,
+    CertResult,
     DegenerateInput,
     Ellipsoid,
     EmptyBody,
+    ExtremalEllipsoidError,
     InvalidBody,
     InvalidEllipsoid,
     Polytope,
@@ -163,6 +165,41 @@ def test_mvee_rejects_flat_input():
             (1e200 * SQUARE, DegenerateInput, "overflows their covariance")]:
         with pytest.raises(error, match=message):
             mvee_points(points)
+
+
+def test_mvee_names_a_covariance_that_underflows():
+    # the weights are solved for at unit spread, but below a spread of
+    # about 2^-511 the covariance of the input points underflows
+    base = np.random.default_rng(0).standard_normal((40, 3))
+    named = []
+    for k in range(-1000, -499, 10):
+        pts = np.ldexp(base, k)
+        try:
+            e, _ = mvee_points(pts)
+        except ExtremalEllipsoidError as exc:
+            named.append((k, str(exc)))
+            continue
+        assert certify_ce(pts, e, tol=1e-8).passed, k
+    assert named and all("underflows their covariance" in m for _, m in named)
+    assert max(k for k, _ in named) < -500
+
+
+def test_near_cospherical_clouds_keep_johns_bound():
+    # contacts on the ellipsoid only to about 1e-8 make the trace row
+    # independent of John's n(n+3)/2 equations; a refit that kept it held
+    # 21 contacts in 5-D (seed 7).  20 000 first-order steps keep the sweep
+    # short; seed 7 and three others converge within them
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((2000, 5))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts += 1e-3 * rng.standard_normal((2000, 5))
+        try:
+            e, cert = mvee_points(pts, SolverConfig(max_iter=20_000))
+        except ExtremalEllipsoidError:
+            continue
+        assert cert.contacts.shape[0] <= 5 * 8 // 2, seed
+        assert isinstance(certify_ce(pts, e), CertResult), seed
 
 
 def test_mvee_starts_when_the_extreme_points_are_collinear():
