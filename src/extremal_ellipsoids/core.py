@@ -396,18 +396,41 @@ def bounded_by_normals(a: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # Deterministic direction sequences and JSON plumbing.
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def unit_directions(n: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy sequence of unit vectors in R^n.
 
-    Unscrambled Halton points pushed through the normal quantile and
-    normalized; reproducible across runs and platforms.
+    Points 1 to ``count`` of the unscrambled Halton sequence (point 0, the
+    origin, is dropped) pushed through the normal quantile and normalized;
+    reproducible across runs and platforms.  Coordinate j is the radical
+    inverse of the index in the j-th prime b, summed from the least
+    significant digit up as digit * s with s = 1/b divided by b after each
+    digit.  That is the arithmetic of ``scipy.stats.qmc.Halton(d=n,
+    scramble=False)``, and ``ndtri`` is what ``scipy.stats.norm.ppf``
+    calls, so the directions are theirs to the bit, without the import of
+    ``scipy.stats``.
     """
-    from scipy.stats import qmc, norm
+    from scipy.special import ndtri
 
-    sampler = qmc.Halton(d=n, scramble=False)
-    u = sampler.random(count + 1)[1:]  # drop the origin-ish first point
+    index = np.arange(1, count + 1)
+    u = np.zeros((count, n))
+    for j, base in enumerate(_first_primes(n)):
+        rest, scale = index.copy(), 1.0 / base
+        while rest.any():
+            u[:, j] += (rest % base) * scale
+            scale /= base
+            rest //= base
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = norm.ppf(u)
+    g = ndtri(u)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     return g / norms[:, None]

@@ -31,10 +31,12 @@ one the solver could not finish.
 ``grid_oracle_slab``: exhaustive search over axial ellipsoids of a slab or
 truncated cone against sampled feasibility constraints; the independent
 reference for the closed forms.  The center tau is found by one zooming
-grid, 17 values of tau per step narrowed to the neighbours of the best.
+grid, 17 values of tau per step narrowed to the neighbours of the best,
+whose two ends are the neighbours already solved, so a later step solves 15.
 Per tau, the inner (a, b) problem is linear in the coefficients, and it is
 solved exactly through its two-variable Lagrange dual, a maximum over the
-hull of m points on a parabola: one O(m) pass over the hull edges.
+hull of m points on a parabola: one O(m) pass over the hull edges, written
+into buffers allocated once per zoom pass.
 """
 
 from __future__ import annotations
@@ -50,8 +52,12 @@ from .core import (Ellipsoid, Polytope, bounded_by_normals, chebyshev_center,
 from .errors import DegenerateInput, InvalidBody, InvalidEllipsoid, Unconverged
 from .slab import AxialEllipsoidParams, SlabSpec
 
-# grid oracle: tau values per zoom step
+# grid oracle: tau values per zoom step; each step after the first solves
+# only the 15 interior ones, the two ends carried over from the last step
 _ZOOM_POINTS = 17
+# grid oracle: the most samples it takes; each of the six buffers of a zoom
+# pass then holds 17 x 65 536 doubles, 8.9 MB
+_MAX_RESOLUTION = 65_536
 # MVIE Newton steps before Unconverged; the 14 benchmark bodies (n <= 12,
 # m <= 150) take 15-29 and 400 affine images of box cuts 16-28
 _NEWTON_BUDGET = 200
@@ -483,7 +489,21 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
 # ---------------------------------------------------------------------------
 # Grid oracle for slabs and cones.
 
-def _hull_inner(tau, sample, n, planes=None):
+def _hull_workspace(taus, size):
+    """Buffers for ``_hull_inner`` on up to ``taus`` values of tau against
+    ``size`` samples: six (taus, size) arrays of doubles and one of bools."""
+    return np.empty((6, taus, size)), np.empty((taus, size), dtype=bool)
+
+
+def _edges(v, out):
+    """``out[..., j] = v[..., j+1] - v[..., j]``, the last entry closing
+    the cycle, ``v[..., 0] - v[..., -1]``."""
+    np.subtract(v[..., 1:], v[..., :-1], out=out[..., :-1])
+    np.subtract(v[..., 0], v[..., -1], out=out[..., -1])
+    return out
+
+
+def _hull_inner(tau, sample, n, planes=None, work=None):
     """Best (a, b) and objective log a + (n-1) log b per tau.
 
     CE and CONE (``planes`` None) keep the sphere points x_1 = y_j inside
@@ -501,31 +521,76 @@ def _hull_inner(tau, sample, n, planes=None):
     closing chord then cover every hull edge, and the optimum is a vertex
     or the stationary point of an edge, in closed form.  An IE optimum past
     the cap moves to the cap, with B the least over the rows.
+
+    Every (tau, sample) intermediate is written into ``work``, from
+    ``_hull_workspace`` with at least ``len(tau)`` rows, or into a fresh
+    one when it is None.  For CE and CONE, q and its edges do not depend on
+    tau and are formed once on the sample.  The operations and their order
+    are those of the plain expressions, so the results are the same to the
+    bit with or without a workspace.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))[:, None]
+    rows = tau.shape[0]
+    if work is None:
+        work = _hull_workspace(rows, sample.size)
+    p, q, dp, dq, t, z = work[0][:, :rows]
+    mask = work[1][:rows]
+    # the log of big Q goes to dq's buffer, free by then (unused for CE)
+    log_q = dq
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = 1.0 - sample ** 2
+        q_sample = 1.0 - sample ** 2
         if planes is None:
-            p = (sample - tau) ** 2
-            q = np.broadcast_to(q, p.shape)
+            np.subtract(sample, tau, out=p)
+            np.square(p, out=p)
+            q = q_sample
+            dq = _edges(q, np.empty_like(q))
         else:
-            scale = (1.0 - tau * sample) ** -2.0
-            p, q = sample ** 2 * scale, q * scale
-        # the edge from each point to the next, the last one closing the hull
-        dp = np.roll(p, -1, axis=1) - p
-        dq = np.roll(q, -1, axis=1) - q
-        t = -(dp * q + (n - 1) * dq * p) / (n * dp * dq)
-        t = np.where(dp * dq < 0.0, np.clip(t, 0.0, 1.0), 0.0)
-        big_p, big_q = p + t * dp, q + t * dq
-        k = np.argmax(np.log(big_p) + (n - 1) * np.log(big_q), axis=1)
-        rows = np.arange(k.size)
-        a = 1.0 / (n * big_p[rows, k])
-        b = (n - 1) / (n * big_q[rows, k])
+            # the row scale (1 - tau c_j)^-2, in z until the edges are formed
+            np.multiply(tau, sample, out=z)
+            np.subtract(1.0, z, out=z)
+            np.power(z, -2.0, out=z)
+            np.multiply(sample ** 2, z, out=p)
+            np.multiply(q_sample, z, out=q)
+            _edges(q, dq)
+        _edges(p, dp)
+        # the stationary point t = (dp q + (n-1) dq p) / (-n dp dq) of each
+        # edge (negation is exact, so the sign may sit in the denominator),
+        # kept (clipped to the edge) only where dp dq < 0
+        np.multiply(dp, q, out=t)
+        np.multiply(n - 1, dq, out=z)
+        np.multiply(z, p, out=z)
+        np.add(t, z, out=t)
+        np.multiply(-n, dp, out=z)
+        np.multiply(z, dq, out=z)
+        np.divide(t, z, out=t)
+        np.multiply(dp, dq, out=z)
+        np.less(z, 0.0, out=mask)
+        np.clip(t, 0.0, 1.0, out=t)
+        np.logical_not(mask, out=mask)
+        np.copyto(t, 0.0, where=mask)
+        # big P = p + t dp into dp, big Q = q + t dq into z
+        np.multiply(t, dp, out=dp)
+        np.add(p, dp, out=dp)
+        np.multiply(t, dq, out=z)
+        np.add(q, z, out=z)
+        np.log(dp, out=t)
+        np.log(z, out=log_q)
+        np.multiply(n - 1, log_q, out=log_q)
+        np.add(t, log_q, out=t)
+        at = np.arange(rows), np.argmax(t, axis=1)
+        a = 1.0 / (n * dp[at])
+        b = (n - 1) / (n * z[at])
         if planes is not None:
             cap = np.maximum(np.minimum(tau[:, 0] - planes[0],
                                         planes[1] - tau[:, 0]), 0.0) ** 2
-            b_cap = np.min(np.where(q > 0.0, (1.0 - cap[:, None] * p) / q,
-                                    np.inf), axis=1)
+            # b at the cap: the least (1 - cap p) / q over rows with q > 0
+            np.multiply(cap[:, None], p, out=z)
+            np.subtract(1.0, z, out=z)
+            np.divide(z, q, out=z)
+            np.greater(q, 0.0, out=mask)
+            np.logical_not(mask, out=mask)
+            np.copyto(z, np.inf, where=mask)
+            b_cap = np.min(z, axis=1)
             a, b = np.minimum(a, cap), np.where(a > cap, b_cap, b)
         f = np.log(a) + (n - 1) * np.log(b)
     if planes is not None:
@@ -536,18 +601,28 @@ def _hull_inner(tau, sample, n, planes=None):
     return a, b, f
 
 
-def _zoom_tau(inner, sample, lo, hi, width):
+def _zoom_tau(sample, n, planes, lo, hi, width):
     """(tau, a, b) at the best of _ZOOM_POINTS tau values on [lo, hi], each
     step narrowing [lo, hi] to the neighbours of the best until it is at most
     ``width`` wide.  The step count is fixed up front, since a bracket a few
-    ulps wide stops shrinking."""
-    shrink = (_ZOOM_POINTS - 1) / 2
-    for _ in range(max(1, math.ceil(math.log((hi - lo) / width, shrink)))):
-        taus = np.linspace(lo, hi, _ZOOM_POINTS)
-        a, b, f = inner(taus, sample)
-        k = int(np.argmax(f))
-        lo, hi = taus[max(k - 1, 0)], taus[min(k + 1, _ZOOM_POINTS - 1)]
-    return float(taus[k]), float(a[k]), float(b[k])
+    ulps wide stops shrinking.  ``np.linspace`` returns its endpoints
+    exactly, and they are the neighbours already solved, so a step after the
+    first solves only the interior taus and carries (a, b, f) over at the
+    ends: _ZOOM_POINTS + (_ZOOM_POINTS - 2) (steps - 1) taus per call, all
+    into one workspace."""
+    last = _ZOOM_POINTS - 1
+    steps = max(1, math.ceil(math.log((hi - lo) / width, last / 2)))
+    work = _hull_workspace(_ZOOM_POINTS, sample.size)
+    taus = np.linspace(lo, hi, _ZOOM_POINTS)
+    abf = np.array(_hull_inner(taus, sample, n, planes, work))
+    for _ in range(steps - 1):
+        k = int(np.argmax(abf[2]))
+        ends = [max(k - 1, 0), min(k + 1, last)]
+        taus = np.linspace(taus[ends[0]], taus[ends[1]], _ZOOM_POINTS)
+        abf[:, [0, last]] = abf[:, ends]
+        abf[:, 1:last] = _hull_inner(taus[1:last], sample, n, planes, work)
+    k = int(np.argmax(abf[2]))
+    return float(taus[k]), float(abf[0, k]), float(abf[1, k])
 
 
 def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
@@ -562,11 +637,15 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
     planes, they are the slab's supporting halfspaces, since every contact
     with the sphere lies in the slab.  The center tau is found by a zooming
     grid: 17 values of tau at a time, narrowed to the neighbours of the
-    best until the bracket is 2e-8 (beta - alpha) wide.  Per tau, the best
-    (a, b) against the sampled constraints is exact, from the Lagrange dual
-    over the hull of the constraint rows (``_hull_inner``).  When a contact
-    falls between samples, it is added to the sample and tau is searched
-    again near the last one, within the slab.  A slab too thin for
+    best until the bracket is 2e-8 (beta - alpha) wide; after the first
+    step the two ends are carried over and only 15 taus are solved
+    (``_zoom_tau``).  Per tau, the best (a, b) against the sampled
+    constraints is exact, from the Lagrange dual over the hull of the
+    constraint rows (``_hull_inner``), in one workspace of 17 x samples
+    buffers per pass.  When a contact falls between samples, it is added
+    to the sample and tau is searched again near the last one, within the
+    slab.  ``resolution`` must lie in [64, 65 536], checked before anything
+    is allocated; otherwise ValueError.  A slab too thin for
     ``resolution`` distinct samples (width below about ``resolution`` ulps)
     raises InvalidEllipsoid.
     """
@@ -575,6 +654,8 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
         raise ValueError(f"problem must be CE, IE or CONE, got {problem!r}")
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
+    if resolution > _MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}")
     n = s.n
     alpha, beta = s.alpha, s.beta
     sample = (np.array([alpha, beta]) if problem == "CONE"
@@ -583,7 +664,6 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
     if np.any(np.diff(sample) <= 0.0):
         raise InvalidEllipsoid(f"slab [{alpha!r}, {beta!r}] is too thin for "
                                f"{resolution} distinct samples")
-    inner = lambda tau, smp: _hull_inner(tau, smp, n, planes)
 
     margin = 1e-9 * (beta - alpha)
     lo, hi = alpha + margin, beta - margin
@@ -593,7 +673,7 @@ def grid_oracle_slab(s: SlabSpec, problem: str, resolution: int = 512
     # adds it to the sample, and the next pass searches near the last tau
     rounds = 4 if problem == "IE" else 3
     for _ in range(rounds + 1):
-        tau, a_val, b_val = _zoom_tau(inner, sample, lo, hi, width)
+        tau, a_val, b_val = _zoom_tau(sample, n, planes, lo, hi, width)
         worst = _worst_sample(problem, tau, a_val, b_val, alpha, beta)
         if worst is None or np.min(np.abs(sample - worst)) < 1e-10:
             break

@@ -69,8 +69,9 @@ def _max_residual(result) -> float:
 
 def test_ce_slab_grid_agrees_with_oracle_within_budget(monkeypatch):
     # the work budget counts inner solves per oracle call, so it fails only
-    # on a slower algorithm, not on a loaded machine; each solve covers the
-    # 17 values of tau of one zoom step, and the sweep needs at most 27
+    # on a slower algorithm, not on a loaded machine; each solve covers one
+    # zoom step, 17 values of tau on the first step of a pass and 15 new
+    # taus per step after the first, and the sweep needs at most 27
     # (9 zoom steps on the first tau pass and 6 on each of 3 refinement
     # passes), so 33 leaves 20% headroom
     solves = []

@@ -674,3 +674,11 @@ def test_oracle_command_rejects_low_resolution(capsys):
     code, out = run_json(capsys, "oracle", "--dim", "2", "--alpha", "-0.5",
                          "--beta", "0.5", "--resolution", "16")
     assert (code, out["error"]["code"]) == (2, "invalid-value")
+
+
+def test_oracle_command_rejects_huge_resolution(capsys):
+    # 1e9 samples would be 17 x 1e9 doubles per buffer; refused up front
+    code, out = run_json(capsys, "oracle", "--dim", "2", "--alpha", "-0.5",
+                         "--beta", "0.5", "--resolution", "1000000000")
+    assert (code, out["error"]["code"]) == (2, "invalid-value")
+    assert "at most 65536" in out["error"]["message"]

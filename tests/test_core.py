@@ -1,6 +1,9 @@
 """Ellipsoid algebra: representation, volume, support, polarity, affine maps."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +450,33 @@ def test_unit_directions_spread_out():
     # no closed halfspace through the origin captures every direction
     probe = unit_directions(2, 32)
     assert float(np.min(np.max(probe @ d.T, axis=1))) > 0.5
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_unit_directions_match_the_scipy_stats_halton_pipeline(n):
+    # the directions were built by scipy.stats; they are the same to the bit
+    from scipy.stats import norm, qmc
+
+    for count in (1, 6, 64, 200, 10_000):
+        u = qmc.Halton(d=n, scramble=False).random(count + 1)[1:]
+        g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0.0] = 1.0
+        assert np.array_equal(unit_directions(n, count), g / norms[:, None])
+
+
+def test_boundary_samples_leave_scipy_stats_unloaded():
+    # the 0.5 s import of scipy.stats is paid by no direction sequence
+    root = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {root!r}); "
+            "from extremal_ellipsoids import SlabSpec, unit_directions; "
+            "from extremal_ellipsoids.slab import cone_boundary_points, "
+            "slab_boundary_points; s = SlabSpec(4, -0.2, 0.6); "
+            "slab_boundary_points(s, 50); cone_boundary_points(s, 50); "
+            "unit_directions(7, 50); print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_ellipsoid_dict_roundtrip():

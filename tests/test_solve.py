@@ -41,6 +41,7 @@ from extremal_ellipsoids import solve
 from extremal_ellipsoids.solve import (
     _dedup_rows,
     _hull_inner,
+    _hull_workspace,
     _newton_polish_weights,
 )
 
@@ -684,6 +685,130 @@ def test_hull_inner_fits_nothing_at_a_center_on_or_past_a_plane():
     assert np.all(f[1:] == -np.inf)
 
 
+def _plain_hull_inner(tau, sample, n, planes=None):
+    """``_hull_inner`` as whole-array expressions, one temporary each."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 - sample ** 2
+        if planes is None:
+            p = (sample - tau) ** 2
+            q = np.broadcast_to(q, p.shape)
+        else:
+            scale = (1.0 - tau * sample) ** -2.0
+            p, q = sample ** 2 * scale, q * scale
+        dp = np.roll(p, -1, axis=1) - p
+        dq = np.roll(q, -1, axis=1) - q
+        t = -(dp * q + (n - 1) * dq * p) / (n * dp * dq)
+        t = np.where(dp * dq < 0.0, np.clip(t, 0.0, 1.0), 0.0)
+        big_p, big_q = p + t * dp, q + t * dq
+        k = np.argmax(np.log(big_p) + (n - 1) * np.log(big_q), axis=1)
+        rows = np.arange(k.size)
+        a = 1.0 / (n * big_p[rows, k])
+        b = (n - 1) / (n * big_q[rows, k])
+        if planes is not None:
+            cap = np.maximum(np.minimum(tau[:, 0] - planes[0],
+                                        planes[1] - tau[:, 0]), 0.0) ** 2
+            b_cap = np.min(np.where(q > 0.0, (1.0 - cap[:, None] * p) / q,
+                                    np.inf), axis=1)
+            a, b = np.minimum(a, cap), np.where(a > cap, b_cap, b)
+        f = np.log(a) + (n - 1) * np.log(b)
+    if planes is not None:
+        f = np.where(cap > 0.0, f, -np.inf)
+        a, b = np.sqrt(a), np.sqrt(b)
+    return a, b, f
+
+
+@pytest.mark.parametrize("tau, sample, n, planes", [
+    (np.linspace(-0.3, 0.6, 17), np.linspace(-0.5, 0.9, 512), 3, None),
+    # tau = 0 and a symmetric sample: edges with dp = dq = 0 give 0 / 0
+    (np.linspace(-0.2, 0.2, 15), np.linspace(-0.5, 0.5, 64), 5, None),
+    (np.linspace(0.2, 0.8, 17), np.array([0.2, 0.8]), 2, None),
+    (np.linspace(-0.1, 0.9, 15), np.linspace(-0.2, 0.95, 300), 4, (-0.2, 0.95)),
+    # centers on and past a plane, and at |tau| = 1, where rows are 0 / 0
+    (np.array([0.95, 0.9, 1.0, 1.01]), np.linspace(0.9, 1.0, 64), 3, (0.9, 1.0)),
+    (np.array([-1.0, -0.99, 0.0, 0.99, 1.0]), np.linspace(-1.0, 1.0, 64), 2,
+     (-1.0, 1.0)),
+])
+def test_hull_inner_matches_the_plain_expressions_to_the_bit(tau, sample, n,
+                                                             planes):
+    plain = _plain_hull_inner(tau, sample, n, planes)
+    # a fresh workspace, and a larger one used before on other inputs
+    work = _hull_workspace(tau.size + 2, sample.size)
+    _hull_inner(tau[::-1] + 1e-3, sample, n, planes, work)
+    for got in (_hull_inner(tau, sample, n, planes),
+                _hull_inner(tau, sample, n, planes, work)):
+        for x, y in zip(got, plain):
+            assert np.array_equal(x, y, equal_nan=True)
+
+
+def _plain_zoom_tau(sample, n, planes, lo, hi, width):
+    """``_zoom_tau`` solving all 17 taus of every step."""
+    for _ in range(max(1, math.ceil(math.log((hi - lo) / width, 8.0)))):
+        taus = np.linspace(lo, hi, 17)
+        a, b, f = solve._hull_inner(taus, sample, n, planes)
+        k = int(np.argmax(f))
+        lo, hi = taus[max(k - 1, 0)], taus[min(k + 1, 16)]
+    return float(taus[k]), float(a[k]), float(b[k])
+
+
+def _rugged_inner(tau, *args):
+    # a hash of the bits of tau: an objective with no order at any scale,
+    # where a carried bracket end can be the best of a step once the new
+    # midpoint misses the last best tau by an ulp
+    tau = np.array(tau, dtype=float)
+    mixed = tau.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return tau * 3.0, tau ** 2, (mixed >> np.uint64(11)).astype(float)
+
+
+@pytest.mark.parametrize("rugged", [False, True])
+def test_zoom_tau_matches_a_zoom_that_solves_every_tau(monkeypatch, rugged):
+    if rugged:
+        monkeypatch.setattr(solve, "_hull_inner", _rugged_inner)
+    cases = [(np.linspace(-0.4, 0.8, 512), 3, None, -0.4, 0.8, 2.4e-8),
+             (np.array([0.1, 0.6]), 5, None, 0.1, 0.6, 1e-8),
+             (np.linspace(-0.2, 0.95, 512), 2, (-0.2, 0.95), -0.2, 0.95, 2e-8),
+             # a center searched near the upper plane of a thin cap
+             (np.linspace(0.9998, 1.0, 512), 2, (0.9998, 1.0), 0.9998,
+              1.0 - 1e-13, 4e-12)]
+    if rugged:
+        sample = np.linspace(-1.0, 1.0, 64)
+        for lo, hi in np.sort(np.random.default_rng(1).uniform(-1, 1, (40, 2))):
+            cases.append((sample, 3, None, lo, hi, 1e-9))
+    for sample, n, planes, lo, hi, width in cases:
+        assert (solve._zoom_tau(sample, n, planes, lo, hi, width)
+                == _plain_zoom_tau(sample, n, planes, lo, hi, width))
+
+
+@pytest.mark.parametrize("problem, spec", [
+    ("CE", SlabSpec(3, -0.4, 0.8)),
+    ("IE", SlabSpec(2, -0.2, 0.95)),
+    ("CONE", SlabSpec(5, 0.1, 0.6)),
+])
+def test_zoom_pass_solves_each_tau_once(monkeypatch, problem, spec):
+    # a zoom step after the first reuses the bracket ends from the last
+    # step: 17 taus on the first step, 15 new ones on each later step
+    passes = []
+    zoom_tau, hull_inner = solve._zoom_tau, solve._hull_inner
+
+    def zoom_counted(sample, n, planes, lo, hi, width):
+        steps = max(1, math.ceil(math.log((hi - lo) / width, 8.0)))
+        passes.append([steps, 0, 0])
+        return zoom_tau(sample, n, planes, lo, hi, width)
+
+    def inner_counted(tau, *args):
+        passes[-1][1] += 1
+        passes[-1][2] += len(tau)
+        return hull_inner(tau, *args)
+
+    monkeypatch.setattr(solve, "_zoom_tau", zoom_counted)
+    monkeypatch.setattr(solve, "_hull_inner", inner_counted)
+    grid_oracle_slab(spec, problem)
+    assert passes
+    for steps, calls, taus in passes:
+        assert calls == steps
+        assert taus == 17 + 15 * (steps - 1)
+
+
 @pytest.mark.parametrize("alpha", [0.9998, 0.99999])
 def test_oracle_evaluates_tau_only_inside_the_slab(monkeypatch, alpha):
     # on a cap thinner than the refinement radius, the bracket tau +- radius
@@ -710,6 +835,17 @@ def test_oracle_validates_inputs():
         grid_oracle_slab(SlabSpec(2, -0.5, 0.5), "XX")
     with pytest.raises(ValueError):
         grid_oracle_slab(SlabSpec(2, -0.5, 0.5), "CE", resolution=32)
+    # refused before anything is allocated: 17 x 1e9 doubles per buffer
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 65536"):
+            grid_oracle_slab(SlabSpec(2, -0.5, 0.5), "CE", resolution=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, peak
+    assert grid_oracle_slab(SlabSpec(2, -0.5, 0.5), "CONE",
+                            resolution=65_536).case == "oracle"
     # a slab a few ulps wide drives the inner search to a = inf
     with pytest.raises(InvalidEllipsoid):
         grid_oracle_slab(SlabSpec(2, 0.5, 0.5 + 1e-15), "CE")
