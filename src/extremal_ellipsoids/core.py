@@ -335,11 +335,18 @@ def polar(p: Polytope) -> Polytope:
 
 
 def facet_norms(p: Polytope) -> np.ndarray:
-    """|a_i| of an H-polytope's normals; a zero one raises InvalidBody."""
-    scale = np.linalg.norm(p.normals, axis=1)
-    if not scale.all():
+    """|a_i| of an H-polytope's normals; a zero one raises InvalidBody.
+
+    Each row is first scaled by the power of two that puts its largest entry
+    in [1/2, 1), which is exact, so its squares neither underflow nor
+    overflow at any scale, and |2^k a_i| is 2^k |a_i| to the bit.
+    """
+    biggest = np.max(np.abs(p.normals), axis=1)
+    if not biggest.all():
         raise InvalidBody("zero facet normal")
-    return scale
+    exponent = np.frexp(biggest)[1]
+    unit = np.ldexp(p.normals, -exponent[:, None])
+    return np.ldexp(np.linalg.norm(unit, axis=1), exponent)
 
 
 def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:

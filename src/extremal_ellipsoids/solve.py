@@ -19,14 +19,17 @@ H-polytope, with no LP when it certifies.  Infeasible-start Newton steps
 from the origin find the analytic center, and the frame where the Dikin
 ellipsoid there is the unit ball.  In it, one primal-dual Newton method on
 (c, L, lambda) over all facets minimizes -log det L subject to
-r_i = b_i - a_i^T c - |L^T a_i| >= 0 with lambda_i r_i driven to mu.  mu
-falls tenfold whenever the iterate is centred; the method stops once
-lambda^T r <= 1e-12 n and the dual residual is below 1e-9 of
-|grad log det L| or stops falling.  The multipliers lambda_i |L^T a_i| at
-the tangency points are the Fritz John certificate, checked over all
-facets before the result is returned; it also proves the body bounded, so
-LPs run only after a failed solve, to tell an unbounded or empty body from
-one the solver could not finish.
+r_i = b_i - a_i^T c - |L^T a_i| >= 0 with lambda_i r_i driven to mu.  Each
+step costs one product, the m x D x D one of the weighted Jacobian of r
+with itself over D = n + n(n+1)/2 unknowns (the curvature of |L^T a_i|
+adds an m x n x n one), and a Cholesky solve; its slacks are those of the
+line search's accepted trial.  mu falls tenfold whenever the iterate is
+centred; the method stops once lambda^T r <= 1e-12 n and the dual
+residual is below 1e-9 of |grad log det L| or stops falling.  The
+multipliers lambda_i |L^T a_i| at the tangency points are the Fritz John
+certificate, checked over all facets before the result is returned; it
+also proves the body bounded, so LPs run only after a failed solve, to
+tell an unbounded or empty body from one the solver could not finish.
 
 ``grid_oracle_slab``: exhaustive search over axial ellipsoids of a slab or
 truncated cone against sampled feasibility constraints; the independent
@@ -59,7 +62,8 @@ _ZOOM_POINTS = 17
 # pass then holds 17 x 65 536 doubles, 8.9 MB
 _MAX_RESOLUTION = 65_536
 # MVIE Newton steps before Unconverged; the 14 benchmark bodies (n <= 12,
-# m <= 150) take 15-29 and 400 affine images of box cuts 16-28
+# m <= 150) take 15-29 and 400 affine images of box cuts 16-28, counted
+# again after the Cholesky solve replaced LU (two bodies took one fewer)
 _NEWTON_BUDGET = 200
 # analytic-center steps before a failed solve; the same bodies take 2-6 and
 # 2-13, and moving a body 1e4 or 1e8 away from the origin adds about 10 or 20
@@ -316,14 +320,24 @@ def _analytic_center(a_hat, b_hat):
     raise Unconverged("no analytic center within its step budget")
 
 
+def _slacks(a_hat, b_hat, c, lower):
+    """g = a_hat L, whose row i is L^T a_i, s_i = |L^T a_i| and the slacks
+    r_i = b_i - a_i^T c - s_i."""
+    g = a_hat @ lower
+    s = np.linalg.norm(g, axis=1)
+    return g, s, b_hat - a_hat @ c - s
+
+
 def _barrier_value(a_hat, b_hat, c, lower, t):
+    """The barrier value at t, inf off its domain, and the _slacks it read,
+    which the next Newton system reuses when the line search accepts."""
     diag = np.diag(lower)
     if np.any(diag <= 0.0):
-        return math.inf
-    r = b_hat - a_hat @ c - np.linalg.norm(a_hat @ lower, axis=1)
-    if np.any(r <= 0.0):
-        return math.inf
-    return _barrier_at(diag, r, t)
+        return math.inf, None
+    slacks = _slacks(a_hat, b_hat, c, lower)
+    if np.any(slacks[2] <= 0.0):
+        return math.inf, None
+    return _barrier_at(diag, slacks[2], t), slacks
 
 
 def _barrier_at(diag, r, t):
@@ -331,49 +345,73 @@ def _barrier_at(diag, r, t):
 
 
 def _packing(a_hat):
-    """The loop invariants of _newton_system for unit normals a_hat (m x n):
-    the packed (row, col) indices of lower(L), the positions of its
-    diagonal among the n + n(n+1)/2 unknowns, a_hat[:, rows], and the mask
-    of packed pairs that share a column."""
+    """The loop invariants of _newton_system's one product for unit normals
+    a_hat (m x n), whose D = n + n(n+1)/2 unknowns are c and the packed
+    (row, col) entries of lower(L): the packed rows and cols, the positions
+    of L's diagonal among the unknowns, a_hat[:, rows], and, for each pair
+    of packed entries in one column, its flat position in the D x D matrix
+    and that of its (row, row) pair in an n x n one, from which the
+    curvature term is gathered with no P x P mask."""
     n = a_hat.shape[1]
     rows, cols = np.tril_indices(n)
+    size = n + rows.shape[0]
+    p, q = np.nonzero(cols[:, None] == cols[None, :])
     return (rows, cols, n + np.flatnonzero(rows == cols), a_hat[:, rows],
-            cols[:, None] == cols[None, :])
+            (n + p) * size + n + q, rows[p] * n + rows[q])
 
 
-def _newton_system(a_hat, b_hat, c, lower, lam, packing):
-    """The primal-dual Newton system over (c, packed lower(L)).
+def _newton_system(a_hat, lower, slacks, lam, packing):
+    """The primal-dual Newton system over (c, packed lower(L)), in one
+    product: the gradient of f = -log det L, the Jacobian dr of the _slacks
+    r_i = b_i - a_i^T c - s_i, s_i = |L^T a_i|, and the positive definite
+    matrix grad^2 f + sum_i lam_i grad^2 s_i + dr^T diag(lam/r) dr, which
+    _spd_solve factors by Cholesky.
 
-    Returns the gradient of f = -log det L, the slacks
-    r_i = b_i - a_i^T c - s_i with s_i = |L^T a_i|, their Jacobian dr, and
-    the matrix grad^2 f + sum_i lam_i grad^2 s_i + dr^T diag(lam/r) dr.
     With u_i = L^T a_i / s_i, the row dr_i is (-a_i, -a_i[rows] u_i[cols]),
     and s_i curves L by (a_i a_i^T) (x) (I - u_i u_i^T) / s_i on the packed
-    entries.  At lam = mu/r the matrix is mu times the Hessian of the
+    entries.  Its u_i u_i^T part is the L block of dr_i^T dr_i / s_i, so one
+    m x D x D product with weights lam/r on the c columns of dr and
+    lam/r - lam/s on its L columns makes every block but (L, c), which is
+    copied from (c, L).  The a_i a_i^T part lives only on pairs of packed
+    entries in one column, gathered from the n x n sum_i (lam_i/s_i)
+    a_i a_i^T.  At lam = mu/r the matrix is mu times the Hessian of the
     barrier value at t = 1/mu.  ``packing`` is _packing(a_hat).
     """
-    n = c.shape[0]
-    _, cols, diag_idx, a_rows, same = packing
-    g = a_hat @ lower  # row i holds L^T a_i
-    s = np.linalg.norm(g, axis=1)
-    r = b_hat - a_hat @ c - s
-    u = g / s[:, None]
-    dr = np.hstack([-a_hat, -a_rows * u[:, cols]])
+    n = a_hat.shape[1]
+    _, cols, diag_idx, a_rows, pairs, pair_rows = packing
+    g, s, r = slacks
+    w = lam / s
+    weight = lam / r
+    dr = np.hstack([-a_hat, -a_rows * (g / s[:, None])[:, cols]])
+    weighted = dr * (weight - w)[:, None]
+    weighted[:, :n] = dr[:, :n] * weight[:, None]
+    matrix = weighted.T @ dr
+    matrix[n:, :n] = matrix[:n, n:].T
+    flat = matrix.reshape(-1)
+    flat[pairs] += ((a_hat.T * w) @ a_hat).reshape(-1)[pair_rows]
     grad_f = np.zeros(dr.shape[1])
     grad_f[diag_idx] = -1.0 / np.diag(lower)
-    matrix = (dr.T * (lam / r)) @ dr
-    w = lam / s
-    dr_l = dr[:, n:]
-    matrix[n:, n:] += ((a_rows.T * w) @ a_rows) * same - (dr_l.T * w) @ dr_l
     matrix[diag_idx, diag_idx] += grad_f[diag_idx] ** 2
-    return grad_f, r, dr, matrix
+    return grad_f, dr, matrix
+
+
+def _spd_solve(matrix, rhs):
+    """matrix^-1 rhs by Cholesky; LinAlgError when the symmetric matrix,
+    read from its lower triangle, is not positive definite."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("Newton matrix is not positive definite")
+    return dpotrs(factor, rhs, lower=1)[0]
 
 
 def _mvie_newton(a_hat, b_hat, max_iter):
     """Minimize -log det L subject to r_i(c, L) >= 0 from c = 0, L = I/2.
 
-    One primal-dual Newton step per iteration: the (c, L) step is
-    backtracked by Armijo on the barrier value at t = 1/mu, and the
+    One primal-dual Newton step per iteration, solved by Cholesky: the
+    (c, L) step is backtracked by Armijo on the barrier value at t = 1/mu,
+    whose accepted trial's slacks the next system reuses, and the
     multipliers take their own step, kept 1% off zero.  mu falls tenfold
     once the iterate is centred (every lam_i r_i / mu in [1/2, 2] and the
     dual residual grad f - dr^T lam at most |grad f| / 2).  The loop stops
@@ -385,12 +423,14 @@ def _mvie_newton(a_hat, b_hat, max_iter):
     rows, cols = packing[:2]
     c = np.zeros(n)
     lower = 0.5 * np.eye(n)
+    slacks = _slacks(a_hat, b_hat, c, lower)
     mu = 1.0
     lam = mu / (b_hat - 0.5)  # unit normals: every s_i is 1/2
     prev = math.inf
     for _ in range(max_iter):
-        grad_f, r, dr, matrix = _newton_system(a_hat, b_hat, c, lower, lam,
-                                               packing)
+        r = slacks[2]
+        grad_f, dr, matrix = _newton_system(a_hat, lower, slacks, lam,
+                                            packing)
         dual = float(np.linalg.norm(grad_f - dr.T @ lam))
         size = float(np.linalg.norm(grad_f))
         if lam @ r <= 1e-12 * n and (dual <= 1e-9 * size or dual >= prev):
@@ -400,7 +440,7 @@ def _mvie_newton(a_hat, b_hat, max_iter):
         if ratio.min() >= 0.5 and ratio.max() <= 2.0 and dual <= 0.5 * size:
             mu *= 0.1
         rhs = dr.T @ (mu / r) - grad_f
-        step = np.linalg.solve(matrix, rhs)
+        step = _spd_solve(matrix, rhs)
         dlam = mu / r - lam - lam / r * (dr @ step)
 
         t = 1.0 / mu
@@ -411,9 +451,9 @@ def _mvie_newton(a_hat, b_hat, max_iter):
             c_try = c + alpha * step[:n]
             l_try = lower.copy()
             l_try[rows, cols] += alpha * step[n:]
-            if (_barrier_value(a_hat, b_hat, c_try, l_try, t)
-                    <= phi - alpha * decrease):
-                c, lower = c_try, l_try
+            value, tried = _barrier_value(a_hat, b_hat, c_try, l_try, t)
+            if value <= phi - alpha * decrease:
+                c, lower, slacks = c_try, l_try, tried
                 break
             alpha *= 0.5
         lam = lam + _to_boundary(lam, dlam) * dlam

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from extremal_ellipsoids import (
     unit_directions,
     volume,
 )
+from extremal_ellipsoids.core import facet_norms
 
 
 def _rand_spd(rng, n, spread=2.0):
@@ -384,6 +386,27 @@ def test_chebyshev_center_empty_interior():
                      offsets=np.array([-1.0, -1.0]))
     with pytest.raises(EmptyBody):
         chebyshev_center(empty)
+
+
+def test_facet_norms_scale_by_powers_of_two_to_the_bit():
+    # squared, the rows of 2^-565 e_i underflow to a zero normal and those
+    # of 2^600 e_i overflow to inf; neither may, at any representable scale
+    rng = np.random.default_rng(31)
+    normals = np.vstack([np.eye(3), -np.eye(3), rng.standard_normal((10, 3)),
+                         [[1e-7, 3.0, -2e-5]]])
+    base = facet_norms(Polytope(normals=normals, offsets=np.ones(17)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-1000, 1001, 100):
+            scaled = np.ldexp(normals, k)
+            exact = np.all(np.ldexp(scaled, -k) == normals, axis=1)
+            assert exact[:6].all()
+            got = facet_norms(Polytope(normals=scaled, offsets=np.ones(17)))
+            assert np.array_equal(got[exact], np.ldexp(base, k)[exact])
+    zero_row = Polytope(normals=np.vstack([normals, [[0.0, 0.0, 0.0]]]),
+                        offsets=np.ones(18))
+    with pytest.raises(InvalidBody, match="^zero facet normal$"):
+        facet_norms(zero_row)
 
 
 def test_boundedness_detection():

@@ -457,10 +457,10 @@ def _per_facet_hessian(a_hat, b_hat, c, lower, t):
     return hess
 
 
-@pytest.mark.parametrize("n", [2, 5, 12])
+@pytest.mark.parametrize("n", [2, 5, 12, 20])
 def test_packed_barrier_hessian_matches_per_facet_formula(n):
     # at lam = mu / r the primal-dual matrix is mu times the barrier Hessian
-    from extremal_ellipsoids.solve import _newton_system, _packing
+    from extremal_ellipsoids.solve import _newton_system, _packing, _slacks
 
     rng = np.random.default_rng(40 + n)
     a_hat, b_hat = _box_cut(n, 4 * n + 6, 40 + n)
@@ -469,9 +469,10 @@ def test_packed_barrier_hessian_matches_per_facet_formula(n):
     mu = 1.0 / 3.0
 
     def system(c, lower):
-        slack = b_hat - a_hat @ c - np.linalg.norm(a_hat @ lower, axis=1)
-        grad_f, r, dr, matrix = _newton_system(a_hat, b_hat, c, lower,
-                                               mu / slack, _packing(a_hat))
+        slacks = _slacks(a_hat, b_hat, c, lower)
+        r = slacks[2]
+        grad_f, dr, matrix = _newton_system(a_hat, lower, slacks, mu / r,
+                                            _packing(a_hat))
         return grad_f - dr.T @ (mu / r), matrix
 
     _, matrix = system(c, lower)
@@ -495,6 +496,62 @@ def test_packed_barrier_hessian_matches_per_facet_formula(n):
             moved.append(system(c_j, l_j)[0])
         fd[:, j] = (moved[0] - moved[1]) / (2.0 * h)
     assert np.max(np.abs(fd - matrix)) <= 1e-6 * scale
+
+
+def _three_product_matrix(a_hat, b_hat, c, lower, lam):
+    """The primal-dual Newton matrix in three products, the reference for
+    the one-product build: dr^T diag(lam/r) dr, then sum_i (lam_i/s_i)
+    (a_i a_i^T)[rows, rows] masked to the packed pairs that share a column,
+    less sum_i (lam_i/s_i) dr_i^T dr_i on the L block, then 1/L_jj^2."""
+    n = c.shape[0]
+    rows, cols = np.tril_indices(n)
+    a_rows = a_hat[:, rows]
+    same = cols[:, None] == cols[None, :]
+    g = a_hat @ lower
+    s = np.linalg.norm(g, axis=1)
+    r = b_hat - a_hat @ c - s
+    dr = np.hstack([-a_hat, -a_rows * (g / s[:, None])[:, cols]])
+    matrix = (dr.T * (lam / r)) @ dr
+    w = lam / s
+    dr_l = dr[:, n:]
+    matrix[n:, n:] += ((a_rows.T * w) @ a_rows) * same - (dr_l.T * w) @ dr_l
+    diag_idx = n + np.flatnonzero(rows == cols)
+    matrix[diag_idx, diag_idx] += 1.0 / np.diag(lower) ** 2
+    return matrix
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_one_product_newton_matrix_matches_three_products(n):
+    # multipliers off the central path, so that lam/r - lam/s, the weight of
+    # the L columns, takes both signs
+    from extremal_ellipsoids.solve import _newton_system, _packing, _slacks
+
+    rng = np.random.default_rng(60 + n)
+    a_hat, b_hat = _box_cut(n, 4 * n + 6, 60 + n)
+    c = rng.uniform(-0.02, 0.02, n)
+    lower = 0.3 * np.eye(n) + np.tril(rng.uniform(-0.02, 0.02, (n, n)))
+    lam = rng.uniform(0.01, 2.0, a_hat.shape[0])
+    slacks = _slacks(a_hat, b_hat, c, lower)
+    assert np.ptp(np.sign(lam / slacks[2] - lam / slacks[1])) == 2.0
+    _, _, matrix = _newton_system(a_hat, lower, slacks, lam, _packing(a_hat))
+    want = _three_product_matrix(a_hat, b_hat, c, lower, lam)
+    assert np.max(np.abs(matrix - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_newton_solve_refuses_a_matrix_that_is_not_positive_definite():
+    # an indefinite matrix has no Cholesky factor; LU would solve it and
+    # return a step that is not a descent direction
+    from extremal_ellipsoids.solve import _spd_solve
+
+    basis = np.linalg.qr(np.random.default_rng(70).standard_normal((6, 6)))[0]
+    rhs = np.arange(1.0, 7.0)
+    spd = (basis * [4.0, 3.0, 2.0, 1.0, 0.5, 1e-3]) @ basis.T
+    np.testing.assert_allclose(spd @ _spd_solve(spd, rhs), rhs, rtol=1e-10)
+    indefinite = (basis * [4.0, 3.0, 2.0, 1.0, 0.5, -1e-3]) @ basis.T
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_solve(indefinite, rhs)
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_solve(-spd, rhs)
 
 
 def _count_barrier_values(monkeypatch):
