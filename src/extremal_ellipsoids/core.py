@@ -334,18 +334,24 @@ def polar(p: Polytope) -> Polytope:
     return Polytope(normals=p.vertices, offsets=np.ones(p.vertices.shape[0]))
 
 
+def _binade_rows(a: np.ndarray):
+    """(rows, exponent): each row of ``a`` scaled by the power of two
+    2^-exponent that puts its largest entry in [1/2, 1), which is exact, so
+    its squares neither underflow nor overflow at any scale; a zero row
+    stays zero, with exponent 0."""
+    exponent = np.frexp(np.max(np.abs(a), axis=1))[1]
+    return np.ldexp(a, -exponent[:, None]), exponent
+
+
 def facet_norms(p: Polytope) -> np.ndarray:
     """|a_i| of an H-polytope's normals; a zero one raises InvalidBody.
 
-    Each row is first scaled by the power of two that puts its largest entry
-    in [1/2, 1), which is exact, so its squares neither underflow nor
-    overflow at any scale, and |2^k a_i| is 2^k |a_i| to the bit.
+    Each row is first scaled by its power of two (``_binade_rows``), so
+    |2^k a_i| is 2^k |a_i| to the bit.
     """
-    biggest = np.max(np.abs(p.normals), axis=1)
-    if not biggest.all():
+    if not np.abs(p.normals).max(axis=1).all():
         raise InvalidBody("zero facet normal")
-    exponent = np.frexp(biggest)[1]
-    unit = np.ldexp(p.normals, -exponent[:, None])
+    unit, exponent = _binade_rows(p.normals)
     return np.ldexp(np.linalg.norm(unit, axis=1), exponent)
 
 
@@ -389,10 +395,13 @@ def polytope_is_bounded(p: Polytope) -> bool:
 def bounded_by_normals(a: np.ndarray) -> bool:
     """Whether every nonempty {x : Ax <= b} is bounded, in one LP: iff
     rank A = n and some y >= 1 has A^T y = 0 (Stiemke's alternative: no
-    x != 0 has Ax <= 0)."""
+    x != 0 has Ax <= 0).  Neither test changes when a row is scaled by a
+    positive number, so both read the rows scaled by their powers of two
+    (``_binade_rows``), and the answer does not depend on the scale."""
     from scipy.optimize import linprog
 
     m, n = a.shape
+    a = _binade_rows(a)[0]
     if np.linalg.matrix_rank(a) < n:
         return False
     res = linprog(np.zeros(m), A_eq=a.T, b_eq=np.zeros(n),

@@ -26,6 +26,8 @@ from .core import Ellipsoid, volume
 from .errors import EmptySlab, InvalidEllipsoid
 from .slab import ce_slab_coefficients, orient
 
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True, eq=False)
 class CutStepRecord:
@@ -97,9 +99,12 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
     clamped; a slab missing the ellipsoid entirely raises EmptySlab.
     Exactly when ``ce_slab`` takes its case "i" (alpha beta <= -1/n, a
     shallow two-sided cut that cannot shrink the volume), E is returned
-    unchanged with ratio 1.  A NaN bound or a zero or non-finite normal
-    raises ValueError, and a normal along which E has collapsed to zero
-    width raises InvalidEllipsoid.
+    unchanged with ratio 1.  The normal may have any scale: when the sum
+    of the squares of v is not a finite normal double, (p, a, b) is scaled
+    by the power of two that puts p's largest entry in [1/2, 1), so a cut
+    by 2^k p, 2^k a, 2^k b equals the cut by p, a, b to the bit.  A NaN
+    bound or a zero or non-finite normal raises ValueError, and a normal
+    along which E has collapsed to zero width raises InvalidEllipsoid.
     """
     p = np.asarray(p, dtype=float)
     # checked before F^T p, where inf * 0 would warn; the sum of the entries
@@ -113,7 +118,17 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
     n = e.dim
     factor = e.factor()
     v = p @ factor  # F^T p
-    g = math.sqrt(v @ v)
+    # vdot sums as v @ v does, to the bit, but sets no overflow warning
+    g2 = float(np.vdot(v, v))
+    if not _NORMAL_MIN <= g2 < math.inf:
+        # a normal far from unit length: the slab is the same for
+        # 2^-k (p, a, b), exactly, with the largest entry of 2^-k p in
+        # [1/2, 1)
+        k = -math.frexp(float(np.max(np.abs(p))))[1]
+        v = np.ldexp(p, k) @ factor
+        a, b = math.ldexp(a, k), math.ldexp(b, k)
+        g2 = float(np.vdot(v, v))
+    g = math.sqrt(g2)
     if not 0.0 < g < math.inf:
         raise _bad_normal(p, g)
     alpha, beta = a / g, b / g

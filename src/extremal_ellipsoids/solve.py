@@ -4,15 +4,22 @@
 ascent on the lifted dual (q_i = (x_i, 1), weights w) over all the points,
 with no hull prefilter: Frank-Wolfe and away steps of closed-form size,
 each updating M(w)^-1 and kappa_i = q_i^T M^-1 q_i by Sherman-Morrison in
-O(mn).  The polish is called from one place: once the gap reaches
-max(eps, 1e-3) the support has, as a rule, settled, and a Newton polish on
-it takes the weights to the optimum over that support.  The gap is then
-read from kappa recomputed from w, the only gap that may end the loop; if
-a point off the support still holds it up, first-order steps resume until
-the gap falls tenfold below it.  The Newton step works on the s x D matrix
-Phi of lifted outer products, D = (n+1)(n+2)/2, never on an s x s one, and
-stops at the rounding floor of kappa, so an optimal support such as a
-group orbit takes no step.
+O(mn).  The support (w > 0) is kept as an index array, rebuilt only when a
+point enters or leaves, and the away step reads kappa on it alone.  A
+Newton polish on the support runs from one place: once the support has
+stayed unchanged for as many steps as it has points with the gap at most
+0.1, unless it has been polished already, and in any case once the gap
+reaches max(eps, g), for g = 1e-3 lowered to a tenth of the exact gap any
+polish left.  The gap is then read from kappa recomputed from w, the only
+gap that may end the loop; otherwise the first-order steps resume.  Each
+Newton step is the min-norm solution for the s x D matrix Phi of lifted
+outer products, D = (n+1)(n+2)/2, read from the smaller of its two Gram
+matrices, so no s x s matrix is formed when s > D.  A step that would take
+a weight below zero goes as far as the first such weight, and that point
+leaves.  The polish gives up once a step cuts the residual
+max |kappa_i - d| by less than 4x, since on the optimal support it
+converges quadratically, and stops at the rounding floor of kappa, so an
+optimal support such as a group orbit takes no step.
 
 ``mvie_polytope``: maximum-volume ellipsoid {c + L u : |u| <= 1} inside an
 H-polytope, with no LP when it certifies.  Infeasible-start Newton steps
@@ -70,10 +77,17 @@ _NEWTON_BUDGET = 200
 _CENTER_BUDGET = 100
 # MVEE weights above this are the support of the Newton polish
 _SUPPORT_TOL = 1e-9
-# MVEE: the exact gap at which the support is taken as settled and polished,
-# and the share of the gap at the last polish that triggers the next one
+# MVEE: a support unchanged for as many first-order steps as it has points
+# is polished once the gap is at most _SETTLED_GAP; whatever the support,
+# the gap _POLISH_GAP triggers a polish, lowered to _POLISH_AGAIN times the
+# exact gap that any polish left
+_SETTLED_GAP = 0.1
 _POLISH_GAP = 1e-3
 _POLISH_AGAIN = 0.1
+# MVEE polish: it gives up once a Newton step cuts max |kappa_i - d| by
+# less than this factor, since on the optimal support the steps converge
+# quadratically
+_POLISH_RATE = 4.0
 # MVEE polish stop: max |kappa_i - d| at most this times cond(M) d sqrt(s)
 # over a support of s points, ten machine epsilons, the rounding floor of
 # kappa and of the s-term sum in M
@@ -109,15 +123,26 @@ def _affinely_spanning(points: np.ndarray) -> bool:
 
 
 def _dedup_rows(points: np.ndarray) -> np.ndarray:
-    # first occurrences, in input order
-    _, first = np.unique(points, axis=0, return_index=True)
-    return points[np.sort(first)]
+    """The distinct rows, first occurrences in input order, with -0.0 and
+    0.0 one value.  Rows are distinct when their first entries are, which
+    a sort of that column tells; otherwise one stable lexsort puts equal
+    rows next to each other, and a compare of adjacent rows finds them."""
+    column = np.sort(points[:, 0])
+    if not (column[1:] == column[:-1]).any():
+        return points
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    first = np.ones(order.size, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    return points[np.sort(order[first])]
 
 
-def _inverse_design(lifted: np.ndarray, w: np.ndarray):
-    """M(w)^-1 and kappa_i = q_i^T M(w)^-1 q_i for M(w) = sum_i w_i q_i q_i^T."""
+def _inverse_design(lifted: np.ndarray, w: np.ndarray, support: np.ndarray):
+    """M(w)^-1 and kappa_i = q_i^T M(w)^-1 q_i, over every row q_i of
+    ``lifted``, for M(w) = sum_i w_i q_i q_i^T summed over ``support``."""
+    q = lifted[support]
     try:
-        minv = np.linalg.inv((lifted.T * w) @ lifted)
+        minv = np.linalg.inv((q.T * w[support]) @ q)
     except np.linalg.LinAlgError as exc:
         raise DegenerateInput("weight iterate lost full rank") from exc
     return minv, np.einsum("ij,ij->i", lifted @ minv, lifted)
@@ -135,63 +160,88 @@ def _start_weights(points: np.ndarray, lifted: np.ndarray) -> np.ndarray:
                key=lambda w: np.linalg.slogdet((lifted.T * w) @ lifted)[1])
 
 
-def _step(kappa: np.ndarray, w: np.ndarray, d: int):
+def _step(kappa: np.ndarray, support: np.ndarray, d: int):
     """(gap, j): the larger of the Frank-Wolfe gap kappa_max/d - 1 and the
     away gap 1 - kappa_min/d over the support, and the point it names."""
     j_fw = int(np.argmax(kappa))
-    j_aw = int(np.argmin(np.where(w > 0.0, kappa, math.inf)))
+    j_aw = int(support[np.argmin(kappa[support])])
     eps_fw = kappa[j_fw] / d - 1.0
     eps_aw = 1.0 - kappa[j_aw] / d
     return (eps_fw, j_fw) if eps_fw >= eps_aw else (eps_aw, j_aw)
 
 
-def _newton_polish_weights(pts_lifted: np.ndarray,
-                           w: np.ndarray) -> np.ndarray:
-    """Solve kappa_i(w) = n+1 on the support by damped Newton steps.
-
-    With M^-1 = C C^T and y_i = C^T q_i, the Jacobian entry
-    -(q_i^T M^-1 q_j)^2 is -phi_i . phi_j for phi_i = svec(y_i y_i^T), with
-    sqrt(2) on the off-diagonal entries: D = d(d+1)/2 columns.  The
-    min-norm step U Sigma^-2 U^T r then comes from a thin SVD of the
-    s x D matrix Phi in O(s D^2), with no s x s matrix.  The steps stop
-    once max |kappa_i - d| is at most 10 eps cond(M) d sqrt(s), the
-    rounding floor of kappa over an s-term sum, so an optimal support such
-    as a group orbit takes no step; or once that residual no longer falls.
-    The weights with the smallest residual are returned.
-    """
-    d = pts_lifted.shape[1]
+def _polish_step(y: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """The min-norm solution of (Phi Phi^T) step = resid, for the s x D
+    matrix Phi whose row i is svec(y_i y_i^T), sqrt(2) on the off-diagonal
+    entries, D = d(d+1)/2, keeping the eigenvalues above eps s times the
+    largest.  Phi Phi^T is (Y Y^T)^2 entrywise; when s > D the step is read
+    from the D x D matrix Phi^T Phi = V Lambda V^T instead, as
+    Phi V Lambda^-2 V^T Phi^T resid, so no s x s matrix is formed."""
+    s, d = y.shape
+    if s <= d * (d + 1) // 2:
+        gram = y @ y.T
+        lam, u = np.linalg.eigh(np.square(gram, out=gram))
+        keep = lam > np.finfo(float).eps * s * lam[-1]
+        return u[:, keep] @ ((resid @ u[:, keep]) / lam[keep])
     rows, cols = np.triu_indices(d)
-    root2 = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    phi = y[:, rows] * y[:, cols] * np.where(rows == cols, 1.0, math.sqrt(2.0))
+    lam, v = np.linalg.eigh(phi.T @ phi)
+    keep = lam > np.finfo(float).eps * s * lam[-1]
+    v = v[:, keep]
+    return phi @ (v @ ((resid @ phi @ v) / lam[keep] ** 2))
+
+
+def _newton_polish_weights(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Solve kappa_i(w) = d on the rows q_i of ``q`` by Newton steps.
+
+    Only the points with weight above _SUPPORT_TOL take part.  With
+    M = V diag(lam) V^T and y_i = diag(lam)^-1/2 V^T q_i, kappa_i is
+    |y_i|^2 and the Jacobian entry -(q_i^T M^-1 q_j)^2 is -phi_i . phi_j
+    for phi_i = svec(y_i y_i^T); each step is _polish_step's min-norm
+    solution.  A step that would take weights below zero goes as far as the
+    first of them, and that point leaves.  On the optimal support the steps
+    converge quadratically, so the polish gives up as soon as a full step
+    cuts the residual max |kappa_i - d| by less than _POLISH_RATE, or the
+    residual does not fall at all, and the first-order loop takes over.  It
+    also stops once the residual is at most 10 eps cond(M) d sqrt(s), the
+    rounding floor of kappa over an s-term sum, so an optimal support such
+    as a group orbit takes no step.  The weights with the smallest residual
+    are returned, scaled to sum to 1.
+    """
+    d = q.shape[1]
     best, best_resid = w, math.inf
+    dropped = False
     for _ in range(60):
         support = np.flatnonzero(w > _SUPPORT_TOL)
-        q, s = pts_lifted[support], support.size
+        s = support.size
+        q_sup = q[support]
         try:
-            minv, kappa = _inverse_design(q, w[support])
-            y = q @ np.linalg.cholesky(minv)
-        except (DegenerateInput, np.linalg.LinAlgError):
+            lam, vec = np.linalg.eigh((q_sup.T * w[support]) @ q_sup)
+        except np.linalg.LinAlgError:
             break
-        resid = kappa - d
+        if not lam[0] > 0.0:
+            break
+        y = q_sup @ (vec / np.sqrt(lam))
+        resid = np.einsum("ij,ij->i", y, y) - d
         size = float(np.max(np.abs(resid)))
         if size >= best_resid:
             break
+        # a step that dropped a point changed the equations: no rate test
+        falling = dropped or _POLISH_RATE * size <= best_resid
         best, best_resid = w, size
-        # cond(M^-1) = cond(M)
-        if size <= _KAPPA_FLOOR * np.linalg.cond(minv) * d * math.sqrt(s):
+        if not falling or (size <= _KAPPA_FLOOR * (lam[-1] / lam[0])
+                           * d * math.sqrt(s)):
             break
-        u, sig, _ = np.linalg.svd(y[:, rows] * y[:, cols] * root2,
-                                  full_matrices=False)
-        # the eigenvalues sig^2 of Phi Phi^T that lstsq on it would keep
-        u = u[:, sig ** 2 > np.finfo(float).eps * s * sig[0] ** 2]
-        step = u @ ((u.T @ resid) / sig[:u.shape[1]] ** 2)
+        step = _polish_step(y, resid)
         w_sup = w[support]
-        scale = 1.0
-        neg = step < 0.0
-        if neg.any():
-            worst = float(np.min(w_sup[neg] / -step[neg]))
-            scale = min(1.0, 0.95 * worst) if worst < 1.0 else 1.0
+        with np.errstate(divide="ignore"):
+            reach = np.where(step < 0.0, w_sup / -step, math.inf)
+        first = int(np.argmin(reach))
+        dropped = reach[first] < 1.0
         w = np.zeros_like(w)
-        w[support] = np.maximum(w_sup + scale * step, 0.0)
+        w[support] = np.maximum(w_sup + min(1.0, reach[first]) * step, 0.0)
+        if dropped:
+            w[support[first]] = 0.0
     total = best.sum()
     return best / total if total > 0.0 else best
 
@@ -218,35 +268,55 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     lifted = np.hstack([frame, np.ones((pts.shape[0], 1))])
 
     w = _start_weights(frame, lifted)
-    minv, kappa = _inverse_design(lifted, w)
+    support = np.flatnonzero(w)
+    minv, kappa = _inverse_design(lifted, w, support)
+    # first-order steps since the support last changed, and whether the
+    # present support has been polished
+    steady, polished = 0, False
     polish_at = _POLISH_GAP
     for k in range(cfg.max_iter):
-        gap, j = _step(kappa, w, d)
+        gap, j = _step(kappa, support, d)
         if not math.isfinite(gap):
             raise Unconverged(f"mvee gap {gap} is not finite after {k} "
                               "iterations", gap=gap)
-        if gap <= max(cfg.eps, polish_at):
-            # the support has settled: Newton on it, then the exact gap, as
-            # the updated kappa drifts and only kappa recomputed from w may
-            # stop
-            w = _newton_polish_weights(lifted, w)
-            minv, kappa = _inverse_design(lifted, w)
-            gap, j = _step(kappa, w, d)
+        settled = (not polished and steady >= support.size
+                   and gap <= _SETTLED_GAP)
+        if settled or gap <= max(cfg.eps, polish_at):
+            # Newton on the support, then the exact gap, as the updated
+            # kappa drifts and only kappa recomputed from w may stop
+            w[support] = _newton_polish_weights(lifted[support], w[support])
+            support = np.flatnonzero(w)
+            minv, kappa = _inverse_design(lifted, w, support)
+            steady, polished = 0, True
+            gap, j = _step(kappa, support, d)
             if gap <= cfg.eps:
                 break
-            polish_at = _POLISH_AGAIN * gap
+            polish_at = min(polish_at, _POLISH_AGAIN * gap)
         # maximize log det((1 - sigma) M + sigma q_j q_j^T), down to dropping
         # q_j; log det only rises towards the drop when kappa_j <= 1
         kj = kappa[j]
-        drop = -w[j] / (1.0 - w[j])
+        wj = w[j]
+        drop = -wj / (1.0 - wj)
         sigma = drop if kj <= 1.0 else max((kj - d) / (d * (kj - 1.0)), drop)
         # Sherman-Morrison for M <- (1 - sigma) M + sigma q_j q_j^T
         v = minv @ lifted[j]
         denom = 1.0 - sigma + sigma * kj
-        minv = (minv - (sigma / denom) * np.outer(v, v)) / (1.0 - sigma)
-        kappa = (kappa - (sigma / denom) * (lifted @ v) ** 2) / (1.0 - sigma)
-        w *= 1.0 - sigma
-        w[j] = 0.0 if sigma == drop else w[j] + sigma
+        minv = (minv - (sigma / denom) * (v[:, None] * v)) / (1.0 - sigma)
+        # kappa <- (kappa - (sigma / denom) (Q v)^2) / (1 - sigma), in place
+        change = lifted @ v
+        np.square(change, out=change)
+        change *= sigma / denom
+        kappa -= change
+        kappa /= 1.0 - sigma
+        w[support] *= 1.0 - sigma
+        if sigma == drop or wj == 0.0:
+            # q_j leaves or enters the support
+            w[j] = 0.0 if sigma == drop else sigma
+            support = np.flatnonzero(w)
+            steady, polished = 0, False
+        else:
+            w[j] += sigma
+            steady += 1
     else:
         raise Unconverged(f"mvee gap {gap:.3e} after {cfg.max_iter} iterations",
                           gap=gap)

@@ -40,7 +40,7 @@ from extremal_ellipsoids import (
     unit_directions,
     volume,
 )
-from extremal_ellipsoids.core import facet_norms
+from extremal_ellipsoids.core import bounded_by_normals, facet_norms
 
 
 def _rand_spd(rng, n, spread=2.0):
@@ -441,6 +441,21 @@ def test_boundedness_of_strips_cones_and_redundant_cubes():
     assert polytope_is_bounded(
         Polytope(normals=np.vstack([cube, extra]),
                  offsets=np.concatenate([np.ones(6), [10.0, 1.0, 3.0]])))
+
+
+def test_bounded_by_normals_does_not_depend_on_the_scale():
+    # the box with normals 2^k (+-e_i) read unbounded at k = 100 to 1000:
+    # HiGHS found no y >= 1 with entries 2^k in A^T y = 0.  Rows of mixed
+    # scales, and three or two of the box's rows, which bound nothing
+    box = np.vstack([np.eye(2), -np.eye(2)])
+    mixed = np.ldexp(box, np.array([[-900], [0], [300], [1000]]))
+    assert bounded_by_normals(mixed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-1000, 1001, 100):
+            assert bounded_by_normals(np.ldexp(box, k)), k
+            assert not bounded_by_normals(np.ldexp(box[:3], k)), k
+            assert not bounded_by_normals(np.ldexp(box[[0, 2]], k)), k
 
 
 def test_boundedness_of_an_empty_body_raises():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,35 @@ def test_cut_of_a_collapsed_ellipsoid_names_the_collapse():
             e, _ = central_cut_step(e, [math.cos(t), math.sin(t)], k)
     assert 2000 < k < 4000
     assert e._log_det < -700.0
+
+
+def test_cut_normal_at_any_scale_equals_the_unit_cut():
+    # squared, 1e-170 e_1 underflowed to a collapsed ellipsoid and 1e200 e_1
+    # overflowed with numpy's RuntimeWarning; a normal's scale is exact in
+    # powers of two, so the cut is the same to the bit
+    unit, unit_record = central_cut_step(unit_ball(2), [1.0, 0.0])
+    fields = ("alpha", "beta", "volume_before", "volume_after", "ratio")
+    normals = [math.ldexp(1.0, k) for k in range(-1000, 1001, 100)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in normals + [1e-170, 1e200]:
+            post, record = central_cut_step(unit_ball(2), [g, 0.0])
+            np.testing.assert_array_equal(post.center, unit.center)
+            np.testing.assert_array_equal(post.factor(), unit.factor())
+            assert post._log_det == unit._log_det, g
+            assert ([getattr(record, f) for f in fields]
+                    == [getattr(unit_record, f) for f in fields]), g
+            assert record.normal[0] == g
+        # a two-sided cut scales its bounds with the normal
+        p = np.array([1.0, 0.5, -0.25])
+        ball = unit_ball(3)
+        unit, _ = parallel_cut_step(ball, p, -0.3, 0.6)
+        for k in range(-1000, 1001, 100):
+            post, _ = parallel_cut_step(ball, np.ldexp(p, k),
+                                        math.ldexp(-0.3, k),
+                                        math.ldexp(0.6, k))
+            np.testing.assert_array_equal(post.center, unit.center)
+            np.testing.assert_array_equal(post.factor(), unit.factor())
 
 
 def test_overdeep_bounds_are_clamped():

@@ -43,6 +43,7 @@ from extremal_ellipsoids.solve import (
     _hull_inner,
     _hull_workspace,
     _newton_polish_weights,
+    _polish_step,
 )
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -189,7 +190,7 @@ def test_near_cospherical_clouds_keep_johns_bound():
     # contacts on the ellipsoid only to about 1e-8 make the trace row
     # independent of John's n(n+3)/2 equations; a refit that kept it held
     # 21 contacts in 5-D (seed 7).  20 000 first-order steps keep the sweep
-    # short; seed 7 and three others converge within them
+    # short; all seeds but seed 1 (32 000 steps) converge within them
     for seed in range(20):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((2000, 5))
@@ -240,8 +241,9 @@ def test_mvee_duality_roundtrip():
 def test_mvee_high_dimensional_cloud_certifies_within_a_step_budget(
         n, max_iter):
     # with a Newton polish once the support settles, seeds 0-19 take
-    # 174-688 first-order steps at n = 10 and 604-930 at n = 20 (one BLAS
-    # thread); first-order steps alone took 907-5197 and 2431-4014
+    # 120-357 first-order steps at n = 10 and 383-926 at n = 20 (one BLAS
+    # thread; 174-688 and 604-930 with a polish only at the gap 1e-3);
+    # first-order steps alone took 907-5197 and 2431-4014
     for seed in range(20):
         pts = np.random.default_rng(seed).standard_normal((2000, n))
         e, cert = mvee_points(pts, SolverConfig(max_iter=max_iter))
@@ -315,6 +317,79 @@ def test_mvee_on_an_order_3840_orbit_forms_no_support_sized_matrix(x):
     assert peak <= 16e6, peak
     result = certify_ce(pts, e, tol=1e-8)
     assert result.passed, result.residuals
+
+
+def _svd_polish_step(y, resid):
+    # the min-norm step U Sigma^-2 U^T resid from a thin SVD of Phi
+    s, d = y.shape
+    rows, cols = np.triu_indices(d)
+    phi = y[:, rows] * y[:, cols] * np.where(rows == cols, 1.0, math.sqrt(2.0))
+    u, sig, _ = np.linalg.svd(phi, full_matrices=False)
+    u = u[:, sig ** 2 > np.finfo(float).eps * s * sig[0] ** 2]
+    return u @ ((u.T @ resid) / sig[:u.shape[1]] ** 2), u.shape[1]
+
+
+@pytest.mark.parametrize("n, s, on_sphere, rank", [
+    (2, 4, False, 4), (2, 6, False, 6), (2, 12, False, 6),
+    (4, 8, False, 8), (4, 15, False, 15), (4, 40, False, 15),
+    # points on a circle or a sphere: the lifted outer products satisfy the
+    # sphere's equation, so Phi loses a rank
+    (2, 12, True, 5), (4, 40, True, 14)])
+def test_polish_step_matches_the_svd_of_phi(n, s, on_sphere, rank):
+    # the Gram matrix of Phi's rows (s <= D) or columns (s > D) gives the
+    # step of the thin SVD of the s x D matrix Phi, D = (n+1)(n+2)/2
+    rng = np.random.default_rng([n, s, on_sphere])
+    x = rng.standard_normal((s, n))
+    if on_sphere:
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    q = np.hstack([x, np.ones((s, 1))])
+    y = q @ np.linalg.cholesky(np.linalg.inv(q.T @ q / s))
+    resid = rng.standard_normal(s)
+    expected, kept = _svd_polish_step(y, resid)
+    assert kept == rank
+    got = _polish_step(y, resid)
+    assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_dedup_rows_matches_np_unique():
+    # integer grids with most rows repeated, a signed zero in every column,
+    # and a cloud with no repeats, which is returned as it is
+    rng = np.random.default_rng(5)
+    for n, m, span in [(1, 50, 7), (2, 400, 5), (3, 1000, 3), (5, 300, 2)]:
+        grid = rng.integers(-span, span + 1, size=(m, n)).astype(float)
+        grid[rng.random((m, n)) < 0.3] *= -1.0
+        grid[rng.random((m, n)) < 0.2] = -0.0
+        _, first = np.unique(grid, axis=0, return_index=True)
+        expected = grid[np.sort(first)]
+        got = _dedup_rows(grid)
+        assert got.shape[0] < m
+        np.testing.assert_array_equal(got, expected)
+    cloud = rng.standard_normal((500, 4))
+    assert _dedup_rows(cloud) is cloud
+
+
+def test_mvee_polishes_a_settled_support_within_a_step_budget():
+    # the cloud n = 4, m = 500 of the benchmark held 13 support points from
+    # about step 80, yet took 459 first-order steps when only the gap 1e-3
+    # triggered a polish; polished once the support settles, it takes 70
+    pts = np.random.default_rng([20070709, 2, 4, 500]).standard_normal(
+        (500, 4))
+    e, _ = mvee_points(pts, SolverConfig(max_iter=459 // 3))
+    assert certify_ce(pts, e, tol=1e-8).passed
+
+
+def test_near_cospherical_recipe_seeds_certify_by_default():
+    # seeds 3, 11, 17 and 18 of the near-sphere recipe (ROADMAP item 1)
+    # stalled at gaps 1.4e-6 to 7.2e-6 after 100 000 first-order steps
+    for seed in (3, 11, 17, 18):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((2000, 5))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts += 1e-3 * rng.standard_normal((2000, 5))
+        e, cert = mvee_points(pts)
+        result = certify_ce(pts, e, tol=1e-8)
+        assert result.passed, (seed, result.residuals)
+        assert cert.contacts.shape[0] <= 5 * 8 // 2, seed
 
 
 def test_mvee_builds_no_convex_hull(monkeypatch):
