@@ -39,6 +39,8 @@ from .core import (Ellipsoid, Polytope, facet_norms, finite_points,
 from .errors import NotNonnegative, NotOptimal
 
 MULTIPLIER_PRUNE = 1e-10
+# the one certification tolerance: each check's default and each solver's stop
+CERT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +177,10 @@ def _fritz_john_check(e: Ellipsoid, candidates: np.ndarray,
     residuals.update(fritz_john_residuals(e, cert.contacts, cert.multipliers))
     residuals["contact_membership"] = float(
         np.max(np.abs(e.quadratic_form(cert.contacts) - 1.0)))
-    return _within_tolerances(residuals, e.dim, tol), residuals, cert
+    return not failed_residuals(residuals, e.dim, tol), residuals, cert
 
 
-def certify_ce(body, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
+def certify_ce(body, e: Ellipsoid, tol: float = CERT_TOL) -> CertResult:
     """Certify E as the minimum-volume ellipsoid circumscribing the body.
 
     The body is a V-polytope or a sampled boundary (stack of points).
@@ -201,7 +203,7 @@ def certify_ce(body, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
     return CertResult(passed, residuals, cert, worst)
 
 
-def certify_ie(body: Polytope, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
+def certify_ie(body: Polytope, e: Ellipsoid, tol: float = CERT_TOL) -> CertResult:
     """Certify E as the maximum-volume ellipsoid inscribed in an H-polytope.
 
     Feasibility is the per-facet support inequality
@@ -219,12 +221,12 @@ def certify_ie(body: Polytope, e: Ellipsoid, tol: float = 1e-8) -> CertResult:
     return CertResult(passed, residuals, cert, None)
 
 
-def _within_tolerances(residuals: dict, n: int, tol: float) -> bool:
-    return (residuals["feasibility"] <= tol
-            and residuals["contact_membership"] <= math.sqrt(tol)
-            and residuals["matrix_eq"] <= tol
-            and residuals["centroid_eq"] <= tol * n
-            and residuals["multiplier_sum"] <= tol * n)
+def failed_residuals(residuals: dict, n: int, tol: float) -> list:
+    """The names of the residuals out of tolerance, sorted; NaN is out."""
+    bounds = {"feasibility": tol, "contact_membership": math.sqrt(tol),
+              "matrix_eq": tol, "centroid_eq": tol * n,
+              "multiplier_sum": tol * n}
+    return [k for k in sorted(bounds) if not residuals[k] <= bounds[k]]
 
 
 def _scaled(e: Ellipsoid, factor: float) -> Ellipsoid:
@@ -233,7 +235,7 @@ def _scaled(e: Ellipsoid, factor: float) -> Ellipsoid:
 
 
 def john_factors(body, e: Ellipsoid, kind: str, symmetric: bool,
-                 tol: float = 1e-8) -> CertResult:
+                 tol: float = CERT_TOL) -> CertResult:
     """Containment checks for the John shrink/blow factors.
 
     CE: the ellipsoid shrunk by n (sqrt(n) for centrally symmetric bodies)
@@ -298,7 +300,7 @@ def breadth_diameter(body, tol: float = 1e-6, directions: int = 500) -> float:
     # the full touching set, not the sparse multiplier support: the breadth
     # statement is about every contact point
     ball = unit_ball(n)
-    u = pts[ball.quadratic_form(pts) >= 1.0 - math.sqrt(1e-8)]
+    u = pts[ball.quadratic_form(pts) >= 1.0 - math.sqrt(CERT_TOL)]
     rng = np.random.default_rng(0)
     d = rng.standard_normal((directions, n))
     d /= np.linalg.norm(d, axis=1, keepdims=True)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One subcommand per solver; a single JSON document on stdout; exit code 0
-on success, 2 on validation problems, 1 when a solver fails to converge.
+on success, 2 on validation problems, 1 when a solver fails to converge or
+its result (mvee, mvie, symmetry) fails certification at --tol.
 Output is deterministic: keys are sorted and every float is printed with
 17 significant digits, so identical invocations are byte-identical.
 """
@@ -15,14 +16,15 @@ import sys
 
 import numpy as np
 
-from .certify import certify_ce, certify_ie
+from .certify import CERT_TOL, certify_ce, certify_ie, failed_residuals
 from .core import (Ellipsoid, Polytope, chebyshev_center, ellipsoid_from_dict,
                    ellipsoid_to_dict)
 from .cutting import FeasibilityProblem, solve_feasibility
 from .errors import ExtremalEllipsoidError, Unconverged
 from .slab import (AxialEllipsoidParams, SlabSpec, ce_cone, ce_slab,
-                   ce_contact_points, cone_contact_points, ie_slab, orient)
-from .solve import SolverConfig, grid_oracle_slab, mvee_points, mvie_polytope
+                   ce_contact_points, cone_contact_points, ie_slab,
+                   ie_sphere_circle, orient)
+from .solve import grid_oracle_slab, mvee_points, mvie_polytope
 from .symmetry import (check_invariant_ellipsoid, group_from_dict,
                        invariant_center, invariant_shape, named_group, orbit)
 
@@ -260,30 +262,35 @@ def _cmd_axial(args, problem: str):
 
 def _ie_contacts_2d(spec: SlabSpec, params: AxialEllipsoidParams) -> np.ndarray:
     """Exact touching points of the inscribed ellipse, normalized frame."""
-    tau, a, b = params.tau, params.a, params.b  # semi-axes form
+    tau, a = params.tau, params.a  # semi-axes form
     cands = []
     if abs((tau - a) - spec.alpha) < 1e-9:
         cands.append((spec.alpha, 0.0))
     if abs((tau + a) - spec.beta) < 1e-9:
         cands.append((spec.beta, 0.0))
-    if abs(b - a) > 1e-12:
-        v = a * tau / (b * b - a * a)
-        if abs(v) <= 1.0:
-            x1 = tau + a * v
-            x2 = b * math.sqrt(max(1.0 - v * v, 0.0))
-            if abs(x1 * x1 + x2 * x2 - 1.0) < 1e-9:
-                cands += [(x1, x2), (x1, -x2)]
+    x1, x2 = ie_sphere_circle(params)  # x2 = 0 only at a plane contact
+    if x2 > 0.0 and abs(x1 * x1 + x2 * x2 - 1.0) < 1e-9:
+        cands += [(x1, x2), (x1, -x2)]
     return np.array(cands) if cands else np.empty((0, 2))
+
+
+def _certified(certify, body, ell: Ellipsoid, tol: float) -> dict:
+    """certify's JSON, or exit 1 (uncertified) naming each failed residual."""
+    result = certify(body, ell, tol=tol)
+    failed = [f"{k} {result.residuals[k]:.3e}"
+              for k in failed_residuals(result.residuals, ell.dim, tol)]
+    if failed:
+        raise _CliError("uncertified", f"certificate fails at tol {tol:.3g}: "
+                        + ", ".join(failed), exit_code=1)
+    return result.to_dict()
 
 
 def _cmd_mvee(args):
     payload = _load_input(args.input, table_key="points")
     pts = _points_from(payload)
-    cfg = SolverConfig(eps=args.eps)
-    ell, cert = mvee_points(pts, cfg)
-    result = certify_ce(pts, ell, tol=args.tol)
+    ell, cert = mvee_points(pts)
     out = {"ellipsoid": ellipsoid_to_dict(ell),
-           "certificate": result.to_dict()}
+           "certificate": _certified(certify_ce, pts, ell, args.tol)}
     if args.plot:
         _require_2d(ell.dim)
         from scipy.spatial import ConvexHull
@@ -299,9 +306,8 @@ def _cmd_mvie(args):
     payload = _load_input(args.input, table_key="halfspaces")
     poly = _polytope_from(payload)
     ell, cert = mvie_polytope(poly)
-    result = certify_ie(poly, ell, tol=args.tol)
     out = {"ellipsoid": ellipsoid_to_dict(ell),
-           "certificate": result.to_dict()}
+           "certificate": _certified(certify_ie, poly, ell, args.tol)}
     if args.plot:
         _require_2d(ell.dim)
         from scipy.spatial import HalfspaceIntersection
@@ -387,12 +393,11 @@ def _cmd_symmetry(args):
     center = invariant_center(group, x)
     shape = invariant_shape(group, x, center)
     ell = Ellipsoid(center, shape)
-    result = certify_ce(pts, ell, tol=args.tol)
     return {"orbit": pts,
             "center": center.tolist(),
             "ellipsoid": ellipsoid_to_dict(ell),
             "invariant": check_invariant_ellipsoid(group, ell),
-            "certificate": result.to_dict()}
+            "certificate": _certified(certify_ce, pts, ell, args.tol)}
 
 
 def _cmd_oracle(args):
@@ -427,14 +432,12 @@ def _build_parser() -> _Parser:
                             "point (mvee) or one halfspace row 'a_1 .. a_n b' "
                             "(mvie) per line; '#' starts a comment")
         p.add_argument("--plot", metavar="FILE")
-        if name == "mvee":
-            p.add_argument("--eps", type=float, default=1e-7)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=CERT_TOL)
 
     for name in ("certify", "symmetry"):
         p = sub.add_parser(name)
         p.add_argument("--input", metavar="FILE", required=True)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=CERT_TOL)
 
     p = sub.add_parser("cut-solve")
     p.add_argument("--input", metavar="FILE", required=True)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AffineMap, Ellipsoid, map_ellipsoid, unit_directions
+from .core import (AffineMap, Ellipsoid, Polytope, map_ellipsoid,
+                   unit_directions)
 from .errors import DegenerateInput, EmptyBody, InvalidEllipsoid
 
 # Case-dispatch guards. A nearly-symmetric interval is routed to the
@@ -370,6 +371,14 @@ def cone_contact_points(s: SlabSpec, p: AxialEllipsoidParams) -> np.ndarray:
                       _rim_points(s.n, s.beta, frame)])
 
 
+def ie_sphere_circle(p: AxialEllipsoidParams) -> tuple[float, float]:
+    """(x1, r): the circle where the semi-axes-form ellipsoid reaches
+    farthest out, at v1 = a tau/(b^2 - a^2) clamped to [-1, 1] (0 if b <= a)."""
+    tau, a, b = p.tau, p.a, p.b
+    v1 = min(max(a * tau / (b * b - a * a) if b > a else 0.0, -1.0), 1.0)
+    return tau + a * v1, b * math.sqrt(max(1.0 - v1 * v1, 0.0))
+
+
 def ie_support_polytope(s: SlabSpec, p: AxialEllipsoidParams):
     """Supporting halfspaces of the slab at the inscribed ellipsoid's contacts.
 
@@ -378,31 +387,14 @@ def ie_support_polytope(s: SlabSpec, p: AxialEllipsoidParams):
     system of the slab itself, since only supporting hyperplanes at the
     contacts enter the conditions.
     """
-    from .core import Polytope
-
     n = s.n
-    tau, a, b = p.tau, p.a, p.b
-    normals = []
-    offsets = []
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    normals += [-e1, e1]
-    offsets += [-s.alpha, s.beta]
-    # sphere contact circle: the ellipsoid point maximizing |x| sits at
-    # v1 = a*tau/(b^2-a^2) when b > a (v1 = 0 for the symmetric branch)
-    if b > a:
-        v1 = a * tau / (b * b - a * a)
-    else:
-        v1 = 0.0
-    v1 = min(max(v1, -1.0), 1.0)
-    x1 = tau + a * v1
-    r = b * math.sqrt(max(1.0 - v1 * v1, 0.0))
+    e1 = np.eye(1, n)[0]
+    x1, r = ie_sphere_circle(p)
     circle = np.empty((2 * (n - 1), n))
     circle[:, 0] = x1
     circle[:, 1:] = r * _cross_frame(n)
     norms = np.linalg.norm(circle, axis=1)
-    for row, nn in zip(circle, norms):
-        if nn > 0.0:
-            normals.append(row / nn)
-            offsets.append(1.0)
-    return Polytope(normals=np.array(normals), offsets=np.array(offsets))
+    keep = norms > 0.0
+    return Polytope(
+        normals=np.vstack([-e1, e1, circle[keep] / norms[keep, None]]),
+        offsets=np.concatenate([[-s.alpha, s.beta], np.ones(keep.sum())]))

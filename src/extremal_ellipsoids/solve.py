@@ -9,9 +9,10 @@ point enters or leaves, and the away step reads kappa on it alone.  A
 Newton polish on the support runs from one place: once the support has
 stayed unchanged for as many steps as it has points with the gap at most
 0.1, unless it has been polished already, and in any case once the gap
-reaches max(eps, g), for g = 1e-3 lowered to a tenth of the exact gap any
-polish left.  The gap is then read from kappa recomputed from w, the only
-gap that may end the loop; otherwise the first-order steps resume.  Each
+reaches 1e-3, lowered to a tenth of the exact gap any polish left.  The
+gap is then read from kappa recomputed from w, the only gap that may end
+the loop, at n/(n+1) CERT_TOL, where certify_ce's feasibility passes;
+otherwise the first-order steps resume until the budget runs out.  Each
 Newton step is the min-norm solution for the s x D matrix Phi of lifted
 outer products, D = (n+1)(n+2)/2, read from the smaller of its two Gram
 matrices, so no s x s matrix is formed when s > D.  A step that would take
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import fritz_john_residuals, pruned_certificate
+from .certify import CERT_TOL, fritz_john_residuals, pruned_certificate
 from .core import (Ellipsoid, Polytope, bounded_by_normals, chebyshev_center,
                    facet_norms, finite_points)
 from .errors import DegenerateInput, InvalidBody, InvalidEllipsoid, Unconverged
@@ -97,17 +98,15 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """``eps``: the stopping gap or tolerance.  ``max_iter``: the step
-    budget; for ``mvee_points`` it counts first-order steps only, not the
-    Newton steps of its polish.  ``mvie_polytope`` reads only ``max_iter``,
-    capped at 200 Newton steps, and ignores ``eps``."""
+    """``max_iter``: the step budget; ``mvee_points`` counts first-order
+    steps, not its polish's, and ``mvie_polytope`` Newton steps, capped at
+    200.  No tolerance is set: mvie checks its Fritz John residuals at
+    CERT_TOL; mvee stops where certify_ce's feasibility passes in exact
+    arithmetic, and its weights' ellipsoid solves the other equations."""
 
-    eps: float = 1e-7
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -267,6 +266,9 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
     frame = np.ldexp(frame, -math.frexp(float(np.abs(frame).max()))[1])
     lifted = np.hstack([frame, np.ones((pts.shape[0], 1))])
 
+    # with sum w = 1 the form of point i is (kappa_i - 1)/n, so certify_ce's
+    # feasibility is (n+1)/n times the Frank-Wolfe gap kappa_max/d - 1
+    stop = n / d * CERT_TOL
     w = _start_weights(frame, lifted)
     support = np.flatnonzero(w)
     minv, kappa = _inverse_design(lifted, w, support)
@@ -281,7 +283,7 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
                               "iterations", gap=gap)
         settled = (not polished and steady >= support.size
                    and gap <= _SETTLED_GAP)
-        if settled or gap <= max(cfg.eps, polish_at):
+        if settled or gap <= max(stop, polish_at):
             # Newton on the support, then the exact gap, as the updated
             # kappa drifts and only kappa recomputed from w may stop
             w[support] = _newton_polish_weights(lifted[support], w[support])
@@ -289,7 +291,7 @@ def mvee_points(points, cfg: SolverConfig = SolverConfig()):
             minv, kappa = _inverse_design(lifted, w, support)
             steady, polished = 0, True
             gap, j = _step(kappa, support, d)
-            if gap <= cfg.eps:
+            if gap <= stop:
                 break
             polish_at = min(polish_at, _POLISH_AGAIN * gap)
         # maximize log det((1 - sigma) M + sigma q_j q_j^T), down to dropping
@@ -532,7 +534,7 @@ def _mvie_newton(a_hat, b_hat, max_iter):
 
 def _certified_mvie(a_hat, b_hat, max_iter):
     """(ellipsoid, contacts, multipliers) over all m facets, whose Fritz
-    John residuals are at most 1e-8; raises Unconverged otherwise.
+    John residuals are at most CERT_TOL; raises Unconverged otherwise.
 
     Solved in the frame C^-T, for the Hessian H = C C^T at the analytic
     center, where the Dikin ellipsoid there is the unit ball: the body is
@@ -553,7 +555,7 @@ def _certified_mvie(a_hat, b_hat, max_iter):
     ell = Ellipsoid.from_factor(c0 + frame @ c, frame @ lower)
     # the residuals are read in the frame of the factor frame @ lower, the
     # solver's own, where they keep their precision however thin the body
-    if max(fritz_john_residuals(ell, contacts, lam).values()) > 1e-8:
+    if max(fritz_john_residuals(ell, contacts, lam).values()) > CERT_TOL:
         raise Unconverged("mvie stopped short of the Fritz John system")
     return ell, contacts, lam
 
@@ -565,14 +567,14 @@ def mvie_polytope(h: Polytope, cfg: SolverConfig = SolverConfig()):
     analytic center is the unit ball.  The multipliers lam_i s_i of the
     facets' tangency points are the Fritz John certificate, since
     stationarity in L reads sum_i lam_i a_i a_i^T / s_i = Y^(-1).  Its
-    check at 1e-8 over all facets also proves the body bounded.  Read in
+    check at CERT_TOL over all facets also proves the body bounded.  Read in
     the frame of the result's factor F, the contact of facet i is
     u_i = F^T a_i / |F^T a_i|; a recession direction d (a_i^T d <= 0 for
     every i) and e = F^-1 d / |F^-1 d| would give u_i . e <= 0 for all i,
-    so sum lam_i (u_i . e)^2 <= |sum lam_i u_i| <= 1e-8, where the matrix
-    equation needs at least 1 - sqrt(n) 1e-8.  So LPs run only after a
-    failed solve, to name the rejection: InvalidBody for an unbounded body,
-    empty or not, EmptyBody for an empty one, and Unconverged otherwise.
+    so sum lam_i (u_i . e)^2 <= |sum lam_i u_i| <= CERT_TOL, where the
+    matrix equation needs at least 1 - sqrt(n) CERT_TOL.  LPs run only after
+    a failed solve, to name the rejection: InvalidBody for an unbounded
+    body, empty or not, EmptyBody for an empty one, Unconverged otherwise.
     """
     if h.is_vform:
         raise InvalidBody("mvie needs an H-form polytope")

@@ -22,7 +22,6 @@ from extremal_ellipsoids import (
     DegenerateInput,
     Polytope,
     SlabSpec,
-    SolverConfig,
     breadth_diameter,
     ce_cone,
     ce_contact_points,
@@ -252,11 +251,11 @@ def test_contact_polar_duality_roundtrip():
     for i in range(20):
         n = 2 + i % 3
         pts = rng.standard_normal((10 + 3 * (i % 5) + n, n))
-        e, cert = mvee_points(pts, SolverConfig(eps=1e-9))
+        e, cert = mvee_points(pts)
         lower = cholesky_spd(e.shape)
         mapped = (cert.contacts - e.center) @ lower
         dual = Polytope(normals=mapped, offsets=np.ones(len(mapped)))
-        ball, _ = mvie_polytope(dual, SolverConfig(eps=1e-9))
+        ball, _ = mvie_polytope(dual)
         assert np.max(np.abs(ball.center)) <= 1e-5
         assert np.max(np.abs(ball.shape - np.eye(n))) <= 1e-5
 
@@ -308,7 +307,7 @@ def test_breadth_bound_in_john_position():
     for i in range(50):
         n = 2 + i % 3
         pts = rng.standard_normal((n + 2 + (i % 7), n))
-        e, _ = mvee_points(pts, SolverConfig(eps=1e-9))
+        e, _ = mvee_points(pts)
         lower = cholesky_spd(e.shape)
         mapped = (pts - e.center) @ lower
         assert breadth_diameter(mapped) >= 2.0 / math.sqrt(n) - 1e-6

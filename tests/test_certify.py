@@ -34,6 +34,7 @@ from extremal_ellipsoids import (
     unit_ball,
     unit_directions,
 )
+from extremal_ellipsoids.certify import MULTIPLIER_PRUNE
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -252,6 +253,24 @@ def test_recovered_support_within_john_bound():
         result = certify_ce(ce_contact_points(s, p), p.expand())
         k = result.certificate.contacts.shape[0]
         assert 1 <= k <= n * (n + 3) // 2
+
+
+def test_near_cospherical_candidates_keep_johns_bound():
+    # candidates on the unit sphere of R^5 only to about 1e-9 make the
+    # trace row independent of John's 20 equations, so NNLS on all 21 rows
+    # keeps 21 multipliers; a refit that kept the trace row kept all 21,
+    # which ContactCertificate refuses.  The refit on John's equations
+    # alone keeps at most 20, and the ball still certifies
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((200, 5))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u *= 1.0 + 1e-9 * rng.standard_normal((200, 1))
+        lam = recover_multipliers(unit_ball(5), u)
+        assert np.count_nonzero(lam > MULTIPLIER_PRUNE) > 5 * 8 // 2, seed
+        result = certify_ce(u, unit_ball(5))
+        assert result.passed, seed
+        assert 1 <= result.certificate.contacts.shape[0] <= 5 * 8 // 2, seed
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,11 @@ def test_solver_flags_exist_only_where_they_are_read(capsys, tmp_path):
     code, out = run_json(capsys, "mvie", "--eps", "1e-3", "--input", path)
     assert code == 2
     assert out["error"]["code"] == "usage"
+    # mvee stops where certify_ce passes at --tol's default: no gap to set
+    square = write_json(tmp_path, "pts.json", {"points": SQUARE_POINTS})
+    code, out = run_json(capsys, "mvee", "--eps", "1e-7", "--input", square)
+    assert code == 2
+    assert out["error"]["code"] == "usage"
     code, _ = run_json(capsys, "mvie", "--tol", "1e-6", "--input", path)
     assert code == 0
 
@@ -157,6 +162,34 @@ def test_slab_plot_writes_csv(capsys, tmp_path):
     assert lines[0] == "series,x,y"
     names = {line.split(",")[0] for line in lines[1:]}
     assert names == {"body", "ellipsoid", "contacts"}
+
+
+@pytest.mark.parametrize("alpha, beta, case, contacts", [
+    ("-0.5", "0.5", "i", ["-0.5,0", "0.5,0", "0,1", "0,-1"]),
+    ("0.2", "0.99", "ii", ["0.20000000000000001,0",
+                           "0.75887234393789127,0.65123940728906349",
+                           "0.75887234393789127,-0.65123940728906349"]),
+    ("-0.2", "0.5", "iii", ["-0.20000000000000001,0", "0.5,0",
+                            "0.1715728752538099,0.98517143100941595",
+                            "0.1715728752538099,-0.98517143100941595"]),
+    # the whole disk touches the circle everywhere; the touching circle
+    # adds (0, +-1) to the two plane contacts
+    ("-1", "1", "i", ["-1,0", "1,0", "0,1", "0,-1"]),
+], ids=["i", "ii", "iii", "i-disk"])
+def test_slab_ie_plot_contact_bytes(capsys, tmp_path, alpha, beta, case,
+                                    contacts):
+    # the touching circle is slab.ie_sphere_circle's, as in
+    # ie_support_polytope; the outline rows go through numpy's cos and sin,
+    # whose last bit may vary with the CPU's SIMD, so only their count is
+    # pinned
+    path = tmp_path / "ie.csv"
+    code, out = run_json(capsys, "slab-ie", "--dim", "2", "--alpha", alpha,
+                         "--beta", beta, "--plot", str(path))
+    assert (code, out["case"]) == (0, case)
+    rows = [line.split(",", 1) for line in path.read_text().splitlines()[1:]]
+    series = [name for name, _ in rows]
+    assert series.count("body") == series.count("ellipsoid") == 720
+    assert [xy for name, xy in rows if name == "contacts"] == contacts
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +286,20 @@ def test_unconverged_exits_one(capsys, tmp_path, monkeypatch):
     code, out = run_json(capsys, "mvee", "--input", path)
     assert code == 1
     assert out["error"]["code"] == "unconverged"
+
+
+def test_uncertified_results_exit_one(capsys, tmp_path):
+    # the solvers' and symmetry's results exit 0 only when they certify at
+    # --tol; at 1e-20 the rounding of the square's exact answer fails
+    square = write_json(tmp_path, "pts.json", {"points": SQUARE_POINTS})
+    box = write_json(tmp_path, "box.json", BOX_HALFSPACES)
+    sym = write_json(tmp_path, "sym.json", {
+        "group": "signed-permutation", "dim": 2, "x": [1.0, 1.0]})
+    for command, path in [("mvee", square), ("mvie", box), ("symmetry", sym)]:
+        code, out = run_json(capsys, command, "--input", path,
+                             "--tol", "1e-20")
+        assert (code, out["error"]["code"]) == (1, "uncertified"), command
+        assert "_eq" in out["error"]["message"], command
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ from extremal_ellipsoids import (
     contains,
     denormalize,
     ie_slab,
+    ie_support_polytope,
     normalize,
     slab_boundary_points,
     unit_directions,
     volume,
 )
 from extremal_ellipsoids.core import unit_ball_volume
-from extremal_ellipsoids.slab import SYMMETRIC_TOL
+from extremal_ellipsoids.slab import SYMMETRIC_TOL, _cross_frame
 
 
 def _slab_volume(n: int, alpha: float, beta: float) -> float:
@@ -257,6 +258,36 @@ def test_ie_boundary_stays_inside_slab():
         assert norms.max() <= 1.0 + 1e-9
         assert pts[:, 0].min() >= alpha - 1e-9
         assert pts[:, 0].max() <= beta + 1e-9
+
+
+def _ie_support_rows_reference(s, p):
+    """ie_support_polytope's rows as its per-row loop built them."""
+    n, tau, a, b = s.n, p.tau, p.a, p.b
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    normals, offsets = [-e1, e1], [-s.alpha, s.beta]
+    v1 = min(max(a * tau / (b * b - a * a) if b > a else 0.0, -1.0), 1.0)
+    circle = np.empty((2 * (n - 1), n))
+    circle[:, 0] = tau + a * v1
+    circle[:, 1:] = b * math.sqrt(max(1.0 - v1 * v1, 0.0)) * _cross_frame(n)
+    norms = np.linalg.norm(circle, axis=1)
+    for row, nn in zip(circle, norms):
+        if nn > 0.0:
+            normals.append(row / nn)
+            offsets.append(1.0)
+    return np.array(normals), np.array(offsets)
+
+
+def test_ie_support_polytope_rows_match_the_loop():
+    # the same bytes, -0.0 included, on each branch of ie_slab
+    for n, alpha, beta in [(2, -0.5, 0.5), (2, 0.2, 0.99), (3, -0.2, 0.5),
+                           (5, 0.6, 0.9), (4, -0.3, 0.95), (6, -1.0, 1.0)]:
+        s = SlabSpec(n, alpha, beta)
+        p = ie_slab(s)
+        poly = ie_support_polytope(s, p)
+        normals, offsets = _ie_support_rows_reference(s, p)
+        assert poly.normals.tobytes() == normals.tobytes(), (n, alpha, beta)
+        assert poly.offsets.tobytes() == offsets.tobytes(), (n, alpha, beta)
 
 
 def test_nested_volumes_strict():
