@@ -90,12 +90,146 @@ class CertResult:
         return out
 
 
-def nnls(a, b):
-    """``scipy.optimize.nnls``, imported on the first call: loading
-    ``scipy.optimize`` is the larger part of importing the CLI."""
-    from scipy.optimize import nnls as scipy_nnls
+_EPS = float(np.finfo(float).eps)
 
-    return scipy_nnls(a, b)
+
+class _PassiveQR:
+    """Householder QR of the passive columns, grown one column at a time:
+    q^T [a[:, cols] | b] = [r | c] with q orthogonal and r upper
+    triangular, so it holds at most as many columns as ``a`` has rows.
+    The inverse of r grows with it."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        m = a.shape[0]
+        self.a = a
+        self.qc = np.empty((m, m + 1))  # [q^T | c], reflected together
+        self.qt, self.c = self.qc[:, :m], self.qc[:, m]
+        self.qt[...] = np.eye(m)
+        self.c[...] = b
+        self.r = np.zeros((m, m))
+        self.rinv = np.zeros((m, m))
+        self.cols = []
+
+    def add(self, j: int, signed: bool) -> bool:
+        """Append column j, unless it is nearly in the span of the passive
+        columns (Lawson and Hanson's test) or, when ``signed``, its
+        coefficient in the new least-squares solution, c_p / r_pp, the
+        last of the back substitution, is not positive."""
+        p = len(self.cols)
+        v = self.qt.dot(self.a[:, j])
+        head, tail = v[:p], v[p:]
+        size = math.sqrt(tail.dot(tail))
+        inside = math.sqrt(head.dot(head))
+        if not inside + 0.01 * size > inside:
+            return False
+        t0 = float(tail[0])
+        diag = -size if t0 >= 0.0 else size
+        tail[0] = t0 - diag  # now the Householder vector h
+        rows = self.qc[p:]
+        hq = tail.dot(rows)
+        hq *= 1.0 / (size * (size + abs(t0)))
+        if signed and not (rows[0, -1] - hq[-1] * (t0 - diag)) / diag > 0.0:
+            return False
+        rows -= tail[:, None] * hq
+        self.r[:p, p] = head
+        self.r[p, p] = diag
+        self.rinv[:p, p] = self.rinv[:p, :p].dot(head) * (-1.0 / diag)
+        self.rinv[p, p] = 1.0 / diag
+        self.cols.append(j)
+        return True
+
+    def residual(self) -> np.ndarray:
+        """b less its least-squares fit by the passive columns, as q holds
+        it: orthogonal to those columns to rounding, whatever its size."""
+        p = len(self.cols)
+        return self.c[p:].dot(self.qt[p:])
+
+    def solve(self, refine: bool = False) -> np.ndarray:
+        """The least-squares coefficients of the passive columns, r^-1 c,
+        refined once against r when asked."""
+        p = len(self.cols)
+        rinv, c = self.rinv[:p, :p], self.c[:p]
+        z = rinv.dot(c)
+        if refine:
+            z += rinv.dot(c - self.r[:p, :p].dot(z))
+        return z
+
+
+def nnls(a, b):
+    """(x, |a x - b|) for an x >= 0 that minimizes |a x - b|.
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    SIAM 1995, ch. 23) from x = 0.  Each outer step prices every column
+    with one product a^T r, r = b - a x, and the best column, the lowest
+    index among ties, enters the passive set; one that ``_PassiveQR.add``
+    refuses gives way to the next best.  The least-squares subproblem is
+    solved on the passive columns only, never more than a has rows, and a
+    coefficient that turns nonpositive sends its column back.  r is taken
+    from the QR, where it stays orthogonal to the passive columns, so a
+    price far below the rounding of b still has its sign.  The steps stop
+    when no price exceeds m eps max_j |a_j| |r|, when |r| is at most
+    m eps |b|, when |r| stops falling, or after 3k + 1 steps, k the column
+    count.  With no more columns than rows and a positive least-squares
+    solution, the least-norm one if a is rank deficient, that one solve
+    is the answer (KKT).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, k = a.shape
+    if 0 < k <= m:
+        z = np.linalg.lstsq(a, b)[0]
+        if z[z.argmin()] > 0.0:
+            res = b - a.dot(z)
+            return z, math.sqrt(res.dot(res))
+    x = np.zeros(k)
+    if k == 0:
+        return x, math.sqrt(b.dot(b))
+    exact = m * _EPS * math.sqrt(b.dot(b))
+    column = m * _EPS * math.sqrt(np.einsum("ij,ij->j", a, a).max())
+    qr = _PassiveQR(a, b)
+    free = np.ones(k)
+    z = np.zeros(0)
+    last = math.inf
+    for _ in range(3 * k + 1):
+        residual = qr.residual()
+        size = math.sqrt(residual.dot(residual))
+        if size <= exact or not size < last:
+            break
+        last = size
+        w = residual.dot(a)
+        w *= free
+        tol = column * size
+        while True:
+            j = int(w.argmax())  # the lowest index among equal prices
+            if not w[j] > tol or qr.add(j, signed=True):
+                break
+            w[j] = 0.0  # refused: the next best
+        if not w[j] > tol:
+            break
+        free[j] = 0.0
+        xp, z = z, qr.solve()
+        if z[z.argmin()] <= 0.0:
+            xp = np.append(xp, 0.0)
+        while z[z.argmin()] <= 0.0:
+            # from xp towards z until a coefficient reaches zero; the
+            # columns at zero go back to the free set
+            neg = np.flatnonzero(z <= 0.0)
+            steps = xp[neg] / (xp[neg] - z[neg])
+            first = steps.argmin()
+            xp += steps[first] * (z - xp)
+            xp[neg[first]] = 0.0
+            cols = qr.cols
+            qr = _PassiveQR(a, b)
+            xp = np.array([xi for i, xi in zip(cols, xp)
+                           if xi > 0.0 and qr.add(i, signed=False)])
+            free[cols] = 1.0
+            free[qr.cols] = 0.0
+            z = qr.solve()
+    # refined once, where a coefficient near rounding may cross zero
+    z = np.maximum(qr.solve(refine=True), 0.0)
+    x[qr.cols] = z
+    res = b - a[:, qr.cols].dot(z)
+    return x, math.sqrt(res.dot(res))
 
 
 def _fritz_john_rows(e: Ellipsoid, contacts: np.ndarray):

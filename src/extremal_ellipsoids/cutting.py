@@ -27,6 +27,9 @@ from .errors import EmptySlab, InvalidEllipsoid
 from .slab import ce_slab_coefficients, orient
 
 _NORMAL_MIN = float(np.finfo(float).tiny)
+# F^T p of a longer normal may overflow, with numpy's warning, before the
+# sum of its squares is screened; such a normal is scaled first
+_LONG_NORMAL = 2.0 ** 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,17 +102,19 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
     clamped; a slab missing the ellipsoid entirely raises EmptySlab.
     Exactly when ``ce_slab`` takes its case "i" (alpha beta <= -1/n, a
     shallow two-sided cut that cannot shrink the volume), E is returned
-    unchanged with ratio 1.  The normal may have any scale: when the sum
-    of the squares of v is not a finite normal double, (p, a, b) is scaled
-    by the power of two that puts p's largest entry in [1/2, 1), so a cut
-    by 2^k p, 2^k a, 2^k b equals the cut by p, a, b to the bit.  A NaN
-    bound or a zero or non-finite normal raises ValueError, and a normal
-    along which E has collapsed to zero width raises InvalidEllipsoid.
+    unchanged with ratio 1.  The normal may have any scale: when |p| is
+    2^512 or more, or the sum of the squares of v is not a finite normal
+    double, (p, a, b) is scaled by the power of two that puts p's largest
+    entry in [1/2, 1), so a cut by 2^k p, 2^k a, 2^k b equals the cut by
+    p, a, b to the bit.  A NaN bound or a zero or non-finite normal raises
+    ValueError, and a normal along which E has collapsed to zero width
+    raises InvalidEllipsoid.
     """
     p = np.asarray(p, dtype=float)
-    # checked before F^T p, where inf * 0 would warn; the sum of the entries
-    # screens for a non-finite one at a fraction of np.isfinite's cost
-    if not math.isfinite(sum(p.tolist())) and not np.isfinite(p).all():
+    # checked before F^T p, where inf * 0 would warn; |p| screens for a
+    # non-finite entry at a fraction of np.isfinite's cost
+    length = math.hypot(*p.tolist())
+    if not math.isfinite(length) and not np.isfinite(p).all():
         raise ValueError("cut normal must be finite")
     if not a < b:
         if math.isnan(a) or math.isnan(b):
@@ -117,9 +122,11 @@ def parallel_cut_step(e: Ellipsoid, p, a: float, b: float,
         raise EmptySlab("slab bounds leave no width")
     n = e.dim
     factor = e.factor()
-    v = p @ factor  # F^T p
-    # vdot sums as v @ v does, to the bit, but sets no overflow warning
-    g2 = float(np.vdot(v, v))
+    g2 = math.inf
+    if length < _LONG_NORMAL:
+        v = p @ factor  # F^T p
+        # vdot sums as v @ v does, to the bit, but sets no overflow warning
+        g2 = float(np.vdot(v, v))
     if not _NORMAL_MIN <= g2 < math.inf:
         # a normal far from unit length: the slab is the same for
         # 2^-k (p, a, b), exactly, with the largest entry of 2^-k p in

@@ -1,12 +1,17 @@
 """Fritz John certification, John factors, breadth, quadratic certificates."""
 
+import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import extremal_ellipsoids
 from extremal_ellipsoids import (
     ContactCertificate,
     DegenerateInput,
@@ -34,7 +39,9 @@ from extremal_ellipsoids import (
     unit_ball,
     unit_directions,
 )
-from extremal_ellipsoids.certify import MULTIPLIER_PRUNE
+from extremal_ellipsoids import certify
+from extremal_ellipsoids.certify import (MULTIPLIER_PRUNE, _fritz_john_rows,
+                                         nnls)
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -271,6 +278,106 @@ def test_near_cospherical_candidates_keep_johns_bound():
         result = certify_ce(u, unit_ball(5))
         assert result.passed, seed
         assert 1 <= result.certificate.contacts.shape[0] <= 5 * 8 // 2, seed
+
+
+# ---------------------------------------------------------------------------
+# Nonnegative least squares.
+
+def _john_system(n, k, seed, noise=0.0):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((k, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u *= 1.0 + noise * rng.standard_normal((k, 1))
+    return _fritz_john_rows(unit_ball(n), u)
+
+
+def _nnls_families(seed):
+    """(name, a, b) on the Fritz John rows of random unit contacts, with
+    R = n(n+3)/2 + 1 rows, and on generic matrices."""
+    rng = np.random.default_rng(seed)
+    yield ("K < R", *_john_system(5, 10, seed))
+    yield ("K = R", *_john_system(5, 21, seed))
+    yield ("21 x 216", *_john_system(5, 216, seed))
+    yield ("28 x 4000", *_john_system(6, 4000, seed))
+    # off the sphere by 1e-9 and 1e-8: the last residuals lie along an
+    # almost null direction, where only a price orthogonal to the passive
+    # columns keeps its sign
+    yield ("21 x 200 near the sphere", *_john_system(5, 200, seed, 1e-9))
+    yield ("6 x 50 near the sphere", *_john_system(2, 50, seed, 1e-8))
+    a, b = _john_system(3, 30, seed)
+    yield "duplicated", np.hstack([a, a[:, ::3], a[:, :5]]), b
+    # rank deficient with K < R: the least-norm solution splits the weight
+    # of a repeated column
+    a = _john_system(5, 8, seed)[0]
+    a = np.hstack([a, a[:, :4]])
+    yield "duplicated, K < R", a, a @ rng.uniform(0.5, 1.0, 12)
+    a = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 30))
+    yield "rank 4", a, rng.standard_normal(12)
+    yield "rank 4, b in the cone", a, a @ rng.uniform(0.0, 1.0, 30)
+    yield "b = 0", _john_system(4, 40, seed)[0], np.zeros(15)
+    yield "b outside the cone", rng.uniform(0.1, 1.0, (8, 20)), -np.ones(8)
+    yield "wide", rng.standard_normal((8, 12)), rng.standard_normal(8)
+    yield "tall", rng.standard_normal((20, 12)), rng.standard_normal(20)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nnls_matches_scipy_and_meets_kkt(seed):
+    from scipy.optimize import nnls as scipy_nnls
+
+    for name, a, b in _nnls_families(seed):
+        x, rnorm = nnls(a, b)
+        _, scipy_rnorm = scipy_nnls(a, b)
+        size = np.linalg.norm(b)
+        assert np.all(x >= 0.0), name
+        assert abs(rnorm - np.linalg.norm(a @ x - b)) <= 1e-14 * size, name
+        assert (abs(rnorm - scipy_rnorm)
+                <= 1e-12 * scipy_rnorm + 1e-13 * size), name
+        # the gradient of |a x - b|^2 / 2: zero on the support, nonnegative
+        # off it
+        grad = a.T @ (a @ x - b)
+        tol = 1e-12 * np.linalg.norm(a, axis=0).max() * size
+        assert np.all(np.abs(grad[x > 0.0]) <= tol), name
+        assert np.all(grad[x == 0.0] >= -tol), name
+
+
+def test_certify_at_order_46080_solves_on_johns_bound(monkeypatch):
+    # the 46 080 signed permutations of x lie on the ball of radius |x|;
+    # every one is a candidate, and no least-squares subproblem holds more
+    # than R = 6 * 9 / 2 + 1 = 28 columns
+    x = np.array([0.9, 0.7, 0.5, 0.3, 0.2, 0.1])
+    perms = x[np.array(list(itertools.permutations(range(6))))]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=6)))
+    pts = (perms[:, None, :] * signs).reshape(-1, 6)
+    assert pts.shape == (46080, 6)
+    sizes = []
+    solve = certify._PassiveQR.solve
+
+    def counted(self, **kwargs):
+        sizes.append(len(self.cols))
+        return solve(self, **kwargs)
+
+    monkeypatch.setattr(certify._PassiveQR, "solve", counted)
+    result = certify_ce(pts, Ellipsoid(np.zeros(6), np.eye(6) / (x @ x)))
+    assert result.passed
+    assert 0 < max(sizes) <= 28
+
+
+def test_accept_paths_leave_scipy_optimize_unloaded():
+    # scipy.optimize is loaded only by the LPs on mvie's rejection path;
+    # the solvers and certificates of a bounded body never reach it
+    root = str(Path(extremal_ellipsoids.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {root!r}); import numpy as np; "
+            "from extremal_ellipsoids import (Polytope, certify_ce, "
+            "certify_ie, mvee_points, mvie_polytope); "
+            "pts = np.random.default_rng(0).standard_normal((50, 3)); "
+            "e, _ = mvee_points(pts); assert certify_ce(pts, e).passed; "
+            "box = Polytope(normals=np.vstack([np.eye(3), -np.eye(3)]), "
+            "offsets=np.array([1.0, 2.0, 0.5, 1.0, 1.0, 1.5])); "
+            "e, _ = mvie_polytope(box); assert certify_ie(box, e).passed; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -353,10 +353,10 @@ def test_certify_input_validation(capsys, tmp_path):
 
 SQUARE_CE_PASS = (
     '{"contacts": [[1, 1], [1, -1], [-1, 1], [-1, -1]], "multipliers": '
-    '[0.49999999999999983, 0.49999999999999989, 0.5, 0.50000000000000011], '
-    '"passed": true, "residuals": {"centroid_eq": 3.5327080320384938e-16, '
-    '"contact_membership": 0, "feasibility": 0, '
-    '"matrix_eq": 3.7590947707111659e-17, "multiplier_sum": 0}}')
+    '[0.50000000000000033, 0.50000000000000067, 0.5, 0.49999999999999983], '
+    '"passed": true, "residuals": {"centroid_eq": 7.8325489203515342e-16, '
+    '"contact_membership": 0, "feasibility": 0, "matrix_eq": '
+    '5.1784969009703372e-16, "multiplier_sum": 8.8817841970012523e-16}}')
 
 
 def _no_certificate(feasibility):
@@ -380,11 +380,11 @@ def _no_certificate(feasibility):
     ({"kind": "ie", **BOX_HALFSPACES,
       "ellipsoid": {"center": [0, 0], "shape": [[1, 0], [0, 1]]}},
      '{"contacts": [[1, 0], [-1, 0], [0, 1], [0, -1]], "multipliers": '
-     '[0.50000000000000022, 0.5, 0.49999999999999983, 0.49999999999999978], '
-     '"passed": true, "residuals": {"centroid_eq": 2.2887833992611187e-16, '
-     '"contact_membership": 0, "feasibility": -0, '
-     '"matrix_eq": 3.5108334685767007e-16, '
-     '"multiplier_sum": 2.2204460492503131e-16}}\n'),
+     '[0.49999999999999989, 0.49999999999999978, 0.49999999999999972, '
+     '0.49999999999999989], "passed": true, "residuals": {"centroid_eq": '
+     '2.0014830212433605e-16, "contact_membership": 0, "feasibility": -0, '
+     '"matrix_eq": 3.9252311467094373e-16, "multiplier_sum": '
+     '8.8817841970012523e-16}}\n'),
     # radius 1/2 in the unit box: no facet is active
     ({"kind": "ie", **BOX_HALFSPACES,
       "ellipsoid": {"center": [0, 0], "shape": [[4, 0], [0, 4]]}},
@@ -632,33 +632,33 @@ def test_symmetry_at_order_46080(capsys, tmp_path):
 SYMMETRY_NAMED = (
     '{"center": [0, 0], "certificate": {"contacts": [[0.90000000000000002, '
     '0.40000000000000002], [-0.90000000000000002, 0.40000000000000002], '
-    '[0.40000000000000002, 0.90000000000000002], [0.40000000000000002, '
-    '-0.90000000000000002], [-0.40000000000000002, -0.90000000000000002]], '
-    '"multipliers": [0.4145299145299145, 0.5854700854700855, '
-    '0.27777777777777779, 0.41452991452991439, 0.30769230769230765], '
-    '"passed": true, "residuals": {"centroid_eq": 2.1088583252177744e-16, '
-    '"contact_membership": 1.1102230246251565e-16, "feasibility": 0, '
-    '"matrix_eq": 8.2045699616433525e-17, "multiplier_sum": '
-    '2.2204460492503131e-16}}, "ellipsoid": {"center": [0, 0], "dim": 2, '
-    '"shape": [[1.0309278350515463, 0], [0, 1.0309278350515463]]}, '
-    '"invariant": true, "orbit": [[0.90000000000000002, '
-    '0.40000000000000002], [0.90000000000000002, -0.40000000000000002], '
-    '[-0.90000000000000002, 0.40000000000000002], [-0.90000000000000002, '
-    '-0.40000000000000002], [0.40000000000000002, 0.90000000000000002], '
     '[0.40000000000000002, -0.90000000000000002], [-0.40000000000000002, '
-    '0.90000000000000002], [-0.40000000000000002, -0.90000000000000002]]}')
+    '0.90000000000000002], [-0.40000000000000002, -0.90000000000000002]], '
+    '"multipliers": [0.58547008547008528, 0.41452991452991456, '
+    '0.30769230769230804, 0.27777777777777785, 0.41452991452991422], '
+    '"passed": true, "residuals": {"centroid_eq": 6.1801043025443632e-17, '
+    '"contact_membership": 1.1102230246251565e-16, "feasibility": 0, '
+    '"matrix_eq": 3.6178521404985094e-16, "multiplier_sum": 0}}, "ellipsoid": '
+    '{"center": [0, 0], "dim": 2, "shape": [[1.0309278350515463, 0], [0, '
+    '1.0309278350515463]]}, "invariant": true, "orbit": '
+    '[[0.90000000000000002, 0.40000000000000002], [0.90000000000000002, '
+    '-0.40000000000000002], [-0.90000000000000002, 0.40000000000000002], '
+    '[-0.90000000000000002, -0.40000000000000002], [0.40000000000000002, '
+    '0.90000000000000002], [0.40000000000000002, -0.90000000000000002], '
+    '[-0.40000000000000002, 0.90000000000000002], [-0.40000000000000002, '
+    '-0.90000000000000002]]}')
 
 SYMMETRY_EXPLICIT = (
     '{"center": [-2.9951277046623466e-17, 2.7755575615628914e-17], '
     '"certificate": {"contacts": [[0.69999999999999996, 0], '
     '[4.286263797015736e-17, 0.69999999999999996], [-0.69999999999999996, '
     '8.572527594031472e-17], [-1.2858791391047207e-16, '
-    '-0.69999999999999996]], "multipliers": [0.49999999999999994, '
-    '0.49999999999999994, 0.49999999999999972, 0.50000000000000011], '
-    '"passed": true, "residuals": {"centroid_eq": 3.1401849173675503e-16, '
-    '"contact_membership": 2.2204460492503131e-16, "feasibility": '
-    '2.2204460492503131e-16, "matrix_eq": 3.1401849173675498e-16, '
-    '"multiplier_sum": 4.4408920985006262e-16}}, "ellipsoid": {"center": '
+    '-0.69999999999999996]], "multipliers": [0.5, 0.49999999999999956, '
+    '0.49999999999999994, 0.49999999999999994], "passed": true, "residuals": '
+    '{"centroid_eq": 2.7755575615628914e-16, "contact_membership": '
+    '2.2204460492503131e-16, "feasibility": 2.2204460492503131e-16, '
+    '"matrix_eq": 3.2368285245694683e-16, "multiplier_sum": '
+    '4.4408920985006262e-16}}, "ellipsoid": {"center": '
     '[-2.9951277046623466e-17, 2.7755575615628914e-17], "dim": 2, "shape": '
     '[[2.0408163265306127, -1.2496395909666874e-16], '
     '[-1.2496395909666874e-16, 2.0408163265306127]]}, "invariant": true, '
@@ -668,15 +668,15 @@ SYMMETRY_EXPLICIT = (
 
 SYMMETRY_SHIFTED = (
     '{"center": [3, -1], "certificate": {"contacts": [[7, 2], [-1, 2], [6, '
-    '-5], [0, 3], [0, -5]], "multipliers": [0.55357142857142838, '
-    '0.44642857142857101, 0.42857142857142849, 0.12500000000000036, '
-    '0.4464285714285714], "passed": true, "residuals": {"centroid_eq": '
-    '1.0874739515221724e-16, "contact_membership": 0, "feasibility": 0, '
-    '"matrix_eq": 1.7567149044104223e-16, "multiplier_sum": '
-    '2.2204460492503131e-16}}, "ellipsoid": {"center": [3, -1], "dim": 2, '
+    '3], [6, -5], [0, -5]], "multipliers": [0.44642857142857073, '
+    '0.55357142857142838, 0.12500000000000053, 0.44642857142857156, '
+    '0.42857142857142833], "passed": true, "residuals": {"centroid_eq": '
+    '1.4029893130559623e-16, "contact_membership": 0, "feasibility": 0, '
+    '"matrix_eq": 3.3337892649647343e-16, "multiplier_sum": '
+    '4.4408920985006262e-16}}, "ellipsoid": {"center": [3, -1], "dim": 2, '
     '"shape": [[0.040000000000000001, 0], [0, 0.040000000000000001]]}, '
-    '"invariant": true, "orbit": [[7, 2], [7, -4], [-1, 2], [-1, -4], [6, '
-    '3], [6, -5], [0, 3], [0, -5]]}')
+    '"invariant": true, "orbit": [[7, 2], [7, -4], [-1, 2], [-1, -4], [6, 3], '
+    '[6, -5], [0, 3], [0, -5]]}')
 
 
 def _shifted_square_group():

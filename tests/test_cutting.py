@@ -137,6 +137,26 @@ def test_cut_normal_at_any_scale_equals_the_unit_cut():
             np.testing.assert_array_equal(post.factor(), unit.factor())
 
 
+def test_long_normal_cuts_a_wide_ellipsoid_without_overflow():
+    # F^T p of 1e300 e_1 and F = 1e10 I overflowed in the product, with
+    # numpy's RuntimeWarning, before the retry at 2^-k p cut correctly; a
+    # normal whose length overflows is scaled the same way
+    e = Ellipsoid.from_factor(np.zeros(2), 1e10 * np.eye(2))
+    fields = ("alpha", "beta", "volume_before", "volume_after", "ratio")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ([1e300, 0.0], [1e308, 1e308]):
+            post, record = central_cut_step(e, p)
+            k = -math.frexp(max(p))[1]
+            scaled, scaled_record = central_cut_step(e, np.ldexp(p, k))
+            np.testing.assert_array_equal(post.center, scaled.center)
+            np.testing.assert_array_equal(post.factor(), scaled.factor())
+            assert post._log_det == scaled._log_det
+            assert ([getattr(record, f) for f in fields]
+                    == [getattr(scaled_record, f) for f in fields])
+            assert record.normal.tolist() == p
+
+
 def test_overdeep_bounds_are_clamped():
     direct, _ = parallel_cut_step(unit_ball(2), [1.0, 0.0], -1.0, 0.0)
     clamped, _ = parallel_cut_step(unit_ball(2), [1.0, 0.0], -7.0, 0.0)
